@@ -1,18 +1,18 @@
 """Decentralized update rules and the parameter/complexity calculators.
 
-GT-SARAH is a double loop: each outer cycle starts from a local batch
-gradient, then runs q inner iterations of a recursive variance-reduced
-estimator fused across the network by gradient tracking. The matrix form
-of one update is
+Every method runs the same synchronous round on per-node rows stacked into
+(n, p) arrays; the methods differ only in the local estimate d that a node
+feeds into it:
 
-    y_{t+1} = W y_t + v_t - v_{t-1}
-    x_{t+1} = W x_t - alpha y_{t+1}
+    y <- W y + d - v,  v <- d     (gradient tracking; skipped by DSGD)
+    x <- W x - alpha y            (or x <- W x - alpha d without tracking)
 
-with per-node rows stacked into (n, p) arrays. DSGD and DSGT baselines
-share the same synchronous-round conventions. Every update mutates the
-passed state in place and advances its cost counters; one synchronous
-round (both the tracker and state exchanges of a step) counts as one
-communication round carrying two vectors per neighbor.
+GT-SARAH's d is the local batch gradient at a cycle start and the
+SARAH-type recursive estimator at the q inner steps; DSGT's d is a plain
+minibatch gradient and DSGD descends along that minibatch gradient
+untracked. Every update mutates the passed state in place and advances
+its cost counters; one round (the tracker and state exchanges together)
+counts as one communication round.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ALGORITHMS = ("gt-sarah", "dsgd", "dsgt")
-
-# vectors exchanged per neighbor in one synchronous round (tracker + state,
-# or state only for dsgd); rounds are what the comm_rounds counter counts
-MESSAGE_VECTORS_PER_ROUND = {"gt-sarah": 2, "dsgd": 1, "dsgt": 2}
 
 
 @dataclass
@@ -39,17 +35,19 @@ class CostCounters:
 
 @dataclass
 class NetworkState:
-    """Live variables of a GT-SARAH run, stacked per node.
+    """Live variables of a run, stacked per node.
 
     x is the current state matrix (n, p); y the gradient trackers; v the
-    estimator from the previous iterate (v^{t-1}; the carried v^{-1,s} at a
-    cycle start). x_prev holds the previous inner state while the inner
-    loop is active.
+    previous local estimate (GT-SARAH: the estimator v^{t-1}, carried as
+    v^{-1,s} at a cycle start; DSGT: the last minibatch gradient). y and v
+    stay None for DSGD, which does not track. (s, t) index rounds as the
+    trace does: outer cycle and inner index for GT-SARAH, s = 0 and t = step
+    for the baselines. x_prev holds the state before the last round.
     """
 
     x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
+    y: np.ndarray | None = None
+    v: np.ndarray | None = None
     s: int = 1
     t: int = 0
     x_prev: np.ndarray | None = None
@@ -57,10 +55,35 @@ class NetworkState:
 
 
 def initial_state(x0: np.ndarray, n: int) -> NetworkState:
-    """All nodes at the same start point, trackers and estimators at zero."""
+    """GT-SARAH start: all nodes at x0, trackers and estimators at zero."""
     x0 = np.asarray(x0, dtype=float)
     return NetworkState(x=np.tile(x0, (n, 1)), y=np.zeros((n, x0.size)),
                         v=np.zeros((n, x0.size)))
+
+
+def baseline_state(x0: np.ndarray, n: int) -> NetworkState:
+    """DSGD/DSGT start: all nodes at x0, no tracker until dsgt_init seeds one."""
+    x0 = np.asarray(x0, dtype=float)
+    return NetworkState(x=np.tile(x0, (n, 1)), s=0)
+
+
+def _round(state: NetworkState, W: np.ndarray, alpha: float, d: np.ndarray,
+           grads: int) -> NetworkState:
+    """The shared round: track d if the state tracks, then mix and descend.
+
+    Charges ``grads`` component gradients (the cost of producing d) and
+    one communication round.
+    """
+    if state.y is not None:
+        state.y = W @ state.y + d - state.v
+        state.v = d
+        d = state.y
+    state.x_prev = state.x
+    state.x = W @ state.x - alpha * d
+    state.t += 1
+    state.counters.grads += grads
+    state.counters.rounds += 1
+    return state
 
 
 def sample_indices(rngs, m: int, B: int) -> np.ndarray:
@@ -80,7 +103,7 @@ def sarah_estimator(problem, X, X_prev, V_prev, indices) -> np.ndarray:
 
 
 def gt_sarah_outer_init(state: NetworkState, problem, W: np.ndarray, alpha: float) -> NetworkState:
-    """Cycle start: local batch gradients, then one tracking + state round.
+    """Cycle start: one round on the local batch gradients.
 
     Costs n*m component gradients and one communication round. Requires the
     state at (t=0, s) carrying y^{0,s} and v^{-1,s} (zeros at s=1).
@@ -89,20 +112,12 @@ def gt_sarah_outer_init(state: NetworkState, problem, W: np.ndarray, alpha: floa
         raise ValueError("step size must be nonnegative")
     if state.t != 0:
         raise ValueError(f"outer init requires t=0, state is at t={state.t}")
-    v0 = problem.batch_gradients(state.x)
-    y1 = W @ state.y + v0 - state.v
-    x1 = W @ state.x - alpha * y1
-    state.x_prev = state.x
-    state.x, state.y, state.v = x1, y1, v0
-    state.t = 1
-    state.counters.grads += problem.n * problem.m
-    state.counters.rounds += 1
-    return state
+    return _round(state, W, alpha, problem.batch_gradients(state.x), problem.n * problem.m)
 
 
 def gt_sarah_inner_step(state: NetworkState, problem, W: np.ndarray, alpha: float,
                         B: int, rngs) -> NetworkState:
-    """One inner iteration: sample, update estimator, track, descend.
+    """One inner iteration: one round on the recursive estimator.
 
     Costs 2*n*B component gradients (each sampled index is evaluated at the
     current and the previous state) and one communication round.
@@ -113,14 +128,7 @@ def gt_sarah_inner_step(state: NetworkState, problem, W: np.ndarray, alpha: floa
         raise ValueError("inner step requires a completed outer init")
     idx = sample_indices(rngs, problem.m, B)
     v = sarah_estimator(problem, state.x, state.x_prev, state.v, idx)
-    y = W @ state.y + v - state.v
-    x = W @ state.x - alpha * y
-    state.x_prev = state.x
-    state.x, state.y, state.v = x, y, v
-    state.t += 1
-    state.counters.grads += 2 * problem.n * B
-    state.counters.rounds += 1
-    return state
+    return _round(state, W, alpha, v, 2 * problem.n * B)
 
 
 def gt_sarah_cycle_handoff(state: NetworkState, q: int) -> NetworkState:
@@ -140,22 +148,6 @@ def gt_sarah_cycle_handoff(state: NetworkState, q: int) -> NetworkState:
 # ---------------------------------------------------------------------------
 # baselines
 
-@dataclass
-class BaselineState:
-    """State of a DSGD/DSGT run: x (n, p), tracker y and last gradient g for DSGT."""
-
-    x: np.ndarray
-    y: np.ndarray | None = None
-    g: np.ndarray | None = None
-    k: int = 0
-    counters: CostCounters = field(default_factory=CostCounters)
-
-
-def baseline_state(x0: np.ndarray, n: int) -> BaselineState:
-    x0 = np.asarray(x0, dtype=float)
-    return BaselineState(x=np.tile(x0, (n, 1)))
-
-
 def _minibatch(problem, X, B, rngs):
     # rngs=None selects the deterministic full pass (requires B == m)
     if rngs is None:
@@ -166,44 +158,32 @@ def _minibatch(problem, X, B, rngs):
     return problem.minibatch_gradients(X, idx), problem.n * B
 
 
-def dsgd_step(state: BaselineState, problem, W: np.ndarray, alpha: float,
-              B: int, rngs) -> BaselineState:
+def dsgd_step(state: NetworkState, problem, W: np.ndarray, alpha: float,
+              B: int, rngs) -> NetworkState:
     """Mix then descend along a local minibatch gradient: x <- W x - alpha g."""
-    g, cost = _minibatch(problem, state.x, B, rngs)
-    state.x = W @ state.x - alpha * g
-    state.k += 1
-    state.counters.grads += cost
-    state.counters.rounds += 1
-    return state
+    return _round(state, W, alpha, *_minibatch(problem, state.x, B, rngs))
 
 
-def dsgt_init(state: BaselineState, problem, B: int, rngs) -> BaselineState:
-    """Seed the tracker with one minibatch gradient: y = g at the start point."""
+def dsgt_init(state: NetworkState, problem, B: int, rngs) -> NetworkState:
+    """Seed the tracker with one minibatch gradient: y = v = g at the start point."""
     g, cost = _minibatch(problem, state.x, B, rngs)
     state.y = g
-    state.g = g
+    state.v = g
     state.counters.grads += cost
     return state
 
 
-def dsgt_step(state: BaselineState, problem, W: np.ndarray, alpha: float,
-              B: int, rngs) -> BaselineState:
-    """Stochastic gradient tracking: y <- W y + g_new - g_old, x <- W x - alpha y.
+def dsgt_step(state: NetworkState, problem, W: np.ndarray, alpha: float,
+              B: int, rngs) -> NetworkState:
+    """Stochastic gradient tracking: one tracked round on a minibatch gradient.
 
     The node average of y equals the node average of the latest gradients
     by telescoping, which is what lets every node follow the global
     gradient.
     """
-    if state.y is None or state.g is None:
+    if state.y is None or state.v is None:
         raise ValueError("dsgt_step requires dsgt_init first")
-    g, cost = _minibatch(problem, state.x, B, rngs)
-    state.y = W @ state.y + g - state.g
-    state.x = W @ state.x - alpha * state.y
-    state.g = g
-    state.k += 1
-    state.counters.grads += cost
-    state.counters.rounds += 1
-    return state
+    return _round(state, W, alpha, *_minibatch(problem, state.x, B, rngs))
 
 
 # ---------------------------------------------------------------------------

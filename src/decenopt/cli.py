@@ -283,6 +283,11 @@ def cmd_run(args) -> int:
         topo = cfg.topology()
         mix = graph.lazy_metropolis_weights(topo)
         problem = cfg.problem()
+        for label, rc in cfg.algorithms:
+            try:
+                engine.resolve(rc, problem, mix.lam)
+            except ValueError as exc:
+                raise ConfigError(f"section [{label}]: {exc}") from None
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -164,13 +165,14 @@ class _Recorder:
             self.j += 1
 
 
-def _check_finite(X, limit, trace, where):
-    if not np.isfinite(X).all() or np.linalg.norm(X) > limit:
-        raise DivergenceError(
-            f"state norm left the finite trust region (> {limit:g}) at {where}", trace)
+def _check_finite(state, limit, trace):
+    if not np.isfinite(state.x).all() or np.linalg.norm(state.x) > limit:
+        raise DivergenceError(f"state norm left the finite trust region (> {limit:g}) "
+                              f"at (s={state.s}, t={state.t})", trace)
 
 
-def _resolve(config: RunConfig, problem, lam: float) -> RunConfig:
+def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
+    """Fill in the derived fields of ``config``; ValueError if it cannot run on ``problem``."""
     cfg = replace(config)
     if cfg.B > problem.m:
         raise ValueError(f"minibatch size {cfg.B} exceeds m={problem.m}")
@@ -203,6 +205,17 @@ def _resolve(config: RunConfig, problem, lam: float) -> RunConfig:
     return cfg
 
 
+def _gt_sarah_step(state, problem, W, alpha, B, rngs, q):
+    # a cycle starts (t = 0) with the handoff from the previous cycle, if
+    # any, and the outer init; t = 1..q are inner steps
+    if state.t == q + 1:
+        gt_sarah_cycle_handoff(state, q)
+    if state.t == 0:
+        gt_sarah_outer_init(state, problem, W, alpha)
+    else:
+        gt_sarah_inner_step(state, problem, W, alpha, B, rngs)
+
+
 def run(problem, weights, config: RunConfig) -> RunTrace:
     """Execute one experiment run and return its trace.
 
@@ -217,7 +230,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     lam = getattr(weights, "lam", None)
     if lam is None:
         lam, _ = spectral_quantities(W)
-    cfg = _resolve(config, problem, lam)
+    cfg = resolve(config, problem, lam)
 
     x0 = np.zeros(problem.p) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     rngs = node_streams(cfg.seed, problem.n,
@@ -227,28 +240,18 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
 
     if cfg.algorithm == "gt-sarah":
         state = initial_state(x0, problem.n)
-        for s in range(1, cfg.S + 1):
-            rec.observe(state.x, state.counters, s, 0)
-            gt_sarah_outer_init(state, problem, W, cfg.alpha)
-            _check_finite(state.x, cfg.divergence_norm, trace, f"(s={s}, t=1)")
-            for t in range(1, cfg.q + 1):
-                rec.observe(state.x, state.counters, s, t)
-                gt_sarah_inner_step(state, problem, W, cfg.alpha, cfg.B, rngs)
-                _check_finite(state.x, cfg.divergence_norm, trace, f"(s={s}, t={t + 1})")
-            if s < cfg.S:
-                gt_sarah_cycle_handoff(state, cfg.q)
-        rec.observe(state.x, state.counters, cfg.S, cfg.q + 1, force=True)
-        trace.final_x = state.x
-        return trace
-
-    state = baseline_state(x0, problem.n)
-    if cfg.algorithm == "dsgt":
-        dsgt_init(state, problem, cfg.B, rngs)
-    step = dsgd_step if cfg.algorithm == "dsgd" else dsgt_step
-    for k in range(cfg.steps):
-        rec.observe(state.x, state.counters, 0, k)
+        rounds = ((s, t) for s in range(1, cfg.S + 1) for t in range(cfg.q + 1))
+        step = partial(_gt_sarah_step, q=cfg.q)
+    else:
+        state = baseline_state(x0, problem.n)
+        rounds = ((0, k) for k in range(cfg.steps))
+        if cfg.algorithm == "dsgt":
+            dsgt_init(state, problem, cfg.B, rngs)
+        step = dsgd_step if cfg.algorithm == "dsgd" else dsgt_step
+    for s, t in rounds:
+        rec.observe(state.x, state.counters, s, t)
         step(state, problem, W, cfg.alpha, cfg.B, rngs)
-        _check_finite(state.x, cfg.divergence_norm, trace, f"(step {k + 1})")
-    rec.observe(state.x, state.counters, 0, cfg.steps, force=True)
+        _check_finite(state, cfg.divergence_norm, trace)
+    rec.observe(state.x, state.counters, state.s, state.t, force=True)
     trace.final_x = state.x
     return trace

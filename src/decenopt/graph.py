@@ -8,7 +8,6 @@ on a connected graph.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,9 +302,3 @@ def write_weights_csv(entries: np.ndarray, target) -> None:
     finally:
         if own:
             f.close()
-
-
-def edge_list_text(topo: Topology) -> str:
-    buf = io.StringIO()
-    write_edge_list(topo, buf)
-    return buf.getvalue()

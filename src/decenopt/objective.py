@@ -36,8 +36,12 @@ class FiniteSumProblem:
 
     Attributes n, m, p give the shape (nodes, components per node,
     dimension); L is a valid mean-squared smoothness modulus. Subclasses
-    must provide the component oracles; the stacked/batch oracles have
-    generic implementations that subclasses may vectorize.
+    provide the component oracles (the tests' independent references),
+    node i's local gradient ``batch_gradient(i, x)`` and the oracles the
+    engine calls: ``batch_gradients(X)`` (row i: node i's local gradient at
+    X[i]), ``minibatch_gradients(X, indices)`` (row i: mean of node i's
+    component gradients at X[i] over the B draws indices[i], which may
+    repeat), ``full_gradient(x)`` and ``full_value(x)``.
     """
 
     n: int
@@ -54,40 +58,6 @@ class FiniteSumProblem:
     def _check_node(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise IndexError(f"node index {i} out of range [0, {self.n})")
-
-    def batch_value(self, i: int, x: np.ndarray) -> float:
-        self._check_node(i)
-        return float(np.mean([self.component_value(i, j, x) for j in range(self.m)]))
-
-    def batch_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Local cost gradient at node i: the mean of its m component gradients."""
-        self._check_node(i)
-        g = np.stack([self.component_gradient(i, j, x) for j in range(self.m)])
-        return g.mean(axis=0)
-
-    def full_value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.batch_value(i, x) for i in range(self.n)]))
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Global cost gradient: mean of the n local batch gradients."""
-        g = np.stack([self.batch_gradient(i, x) for i in range(self.n)])
-        return g.mean(axis=0)
-
-    def batch_gradients(self, X: np.ndarray) -> np.ndarray:
-        """Stacked local gradients: row i is node i's batch gradient at X[i]."""
-        return np.stack([self.batch_gradient(i, X[i]) for i in range(self.n)])
-
-    def minibatch_gradients(self, X: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Row i: mean of node i's component gradients at X[i] over indices[i].
-
-        ``indices`` has shape (n, B); draws may repeat (sampling is with
-        replacement).
-        """
-        out = np.empty((self.n, self.p))
-        for i in range(self.n):
-            g = np.stack([self.component_gradient(i, int(j), X[i]) for j in indices[i]])
-            out[i] = g.mean(axis=0)
-        return out
 
     def dissimilarity_at(self, x: np.ndarray) -> float:
         """(1/n) sum_i ||grad f_i(x) - grad F(x)||^2 at one point.
@@ -188,13 +158,6 @@ class LogisticProblem(FiniteSumProblem):
         margin = float(theta @ x) * xi
         return -xi * float(sigmoid(-margin)) * theta + self._reg_gradient(x)
 
-    def batch_value(self, i, x):
-        self._check_node(i)
-        d = self.dataset
-        x = np.asarray(x, dtype=float)
-        margins = (d.features[i] @ x) * d.labels[i]
-        return float(np.mean(softplus(-margins))) + self._reg_value(x)
-
     def batch_gradient(self, i, x):
         self._check_node(i)
         d = self.dataset
@@ -275,11 +238,6 @@ class QuadraticProblem(FiniteSumProblem):
         self._check_node(i)
         a = self.curvatures[i]
         return (a * (np.asarray(x, dtype=float) - self.centers[i])).mean(axis=0)
-
-    def batch_value(self, i, x):
-        self._check_node(i)
-        d = np.asarray(x, dtype=float) - self.centers[i]
-        return 0.5 * float((self.curvatures[i] * d * d).sum(axis=1).mean())
 
     def full_gradient(self, x):
         return self._abar * np.asarray(x, dtype=float) - self._b

@@ -265,7 +265,7 @@ def test_dsgt_tracker_average_telescopes():
     for _ in range(50):
         dsgt_step(st, prob, W, 0.05, 2, rngs)
         ybar = st.y.mean(axis=0)
-        gbar = st.g.mean(axis=0)
+        gbar = st.v.mean(axis=0)
         assert np.linalg.norm(ybar - gbar) <= 1e-10 * (1.0 + np.linalg.norm(gbar))
 
 

@@ -128,6 +128,23 @@ def test_run_no_algorithms(tmp_path):
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_run_oversized_minibatch_is_config_error(tmp_path, capsys):
+    text = BASE_CONFIG.replace("m = 8", "m = 4").replace("B = 2", "B = 8")
+    cfg, out = write_config(tmp_path, text)
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: section [dsgt]: minibatch size 8 exceeds m=4\n"
+    assert not os.path.exists(out)
+
+
+def test_run_missing_budget_is_config_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace("S = 3\n", ""))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: section [gt-sarah]: gt-sarah needs S or epochs\n"
+    assert not os.path.exists(out)
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, BASE_CONFIG.replace("alpha = 0.05", "alpha = 1e6"))
     assert main(["run", "--config", cfg]) == EXIT_DIVERGED

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,8 +207,9 @@ def test_divergence_guard_trips():
 
 def test_divergence_guard_on_baseline():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=24)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as exc:
         run(prob, ring_mix(3), RunConfig(algorithm="dsgd", alpha=1e6, steps=1000, seed=9))
+    assert re.search(r"at \(s=0, t=\d+\)$", str(exc.value))
 
 
 def test_run_rejects_mismatched_weights():
