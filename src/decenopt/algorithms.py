@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .streams import IndexStreams
+
 ALGORITHMS = ("gt-sarah", "dsgd", "dsgt")
 
 
@@ -90,8 +92,14 @@ def sample_indices(rngs, m: int, B: int) -> np.ndarray:
     """(n, B) component indices, B i.i.d. uniform draws per node with replacement.
 
     Each node draws from its own stream, so the result does not depend on
-    the order in which nodes are processed.
+    the order in which nodes are processed. ``rngs`` is a list of per-node
+    generators or an IndexStreams drawing ahead from them for this (m, B).
     """
+    if isinstance(rngs, IndexStreams):
+        if (rngs.m, rngs.B) != (m, B):
+            raise ValueError(f"index streams draw (m={rngs.m}, B={rngs.B}), "
+                             f"asked for (m={m}, B={B})")
+        return rngs.take()
     return np.stack([rng.integers(0, m, size=B) for rng in rngs])
 
 

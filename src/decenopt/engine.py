@@ -22,7 +22,7 @@ from .algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_s
                          gt_sarah_cycle_handoff, gt_sarah_inner_step,
                          gt_sarah_outer_init, initial_state, max_stepsize)
 from .graph import spectral_quantities
-from .streams import node_streams
+from .streams import IndexStreams, node_streams
 
 CSV_HEADER = ("algorithm,seed,s,t,epochs,grads_total,comm_rounds,"
               "stationary_gap,consensus_error,objective,def33_mean")
@@ -233,8 +233,9 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     cfg = resolve(config, problem, lam)
 
     x0 = np.zeros(problem.p) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    rngs = node_streams(cfg.seed, problem.n,
-                        namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate))
+    rngs = IndexStreams(node_streams(cfg.seed, problem.n,
+                                     namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
+                        problem.m, cfg.B)
     trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed)
     rec = _Recorder(problem, trace, cfg.record_every, cfg.def33_every)
 

@@ -11,7 +11,7 @@ from decenopt.algorithms import (RunConfig, baseline_state, communication_optima
                                  sample_indices, sarah_estimator)
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
-from decenopt.streams import node_streams
+from decenopt.streams import IndexStreams, node_streams
 from helpers import reference_sarah, reference_sgd
 
 
@@ -297,6 +297,18 @@ def test_sample_indices_shape_and_order_independence():
     # node 2's draws do not depend on whether nodes 0..1 drew first
     solo = node_streams(5, 3)[2].integers(0, 10, size=4)
     assert np.array_equal(idx[2], solo)
+
+
+@pytest.mark.parametrize("m,B", [(1, 1), (7, 1), (1000, 3), (2 ** 32 + 5, 2)])
+def test_index_streams_match_per_round_draws(m, B):
+    # drawing ahead in blocks must return exactly the per-round draws,
+    # across block refills, so the run engine's trajectories do not change
+    ahead = IndexStreams(node_streams(8, 3), m, B, max_block=8 * B)
+    rngs = node_streams(8, 3)
+    for _ in range(40):
+        assert np.array_equal(sample_indices(ahead, m, B), sample_indices(rngs, m, B))
+    with pytest.raises(ValueError, match="asked for"):
+        sample_indices(ahead, m, B + 1)
 
 
 # ---------------------------------------------------------------------------
