@@ -169,6 +169,8 @@ def _minibatch(problem, X, B, rngs):
 def dsgd_step(state: NetworkState, problem, W: np.ndarray, alpha: float,
               B: int, rngs) -> NetworkState:
     """Mix then descend along a local minibatch gradient: x <- W x - alpha g."""
+    if state.y is not None:
+        raise ValueError("dsgd_step requires an untracked state from baseline_state")
     return _round(state, W, alpha, *_minibatch(problem, state.x, B, rngs))
 
 

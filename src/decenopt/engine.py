@@ -161,8 +161,7 @@ class _Recorder:
                 objective=self.problem.full_value(xbar),
                 def33_mean=self.def33_sum / max(1, self.def33_count),
             ))
-        if not force:
-            self.j += 1
+        self.j += 1
 
 
 def _check_finite(state, limit, trace):
@@ -184,7 +183,7 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
                 raise ValueError("gt-sarah needs S or epochs")
             S = max(1, round(cfg.epochs * problem.m / (problem.m + 2 * q * cfg.B)))
         cfg = replace(cfg, q=q, S=S)
-        cycle = q + 1
+        every = max(1, math.ceil((q + 1) / 4))
     else:
         steps = cfg.steps
         if steps is None:
@@ -193,13 +192,12 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
             steps = max(1, round(cfg.epochs * problem.m / cfg.B))
         q_eq = max(1, math.ceil(problem.m / cfg.B))
         cfg = replace(cfg, steps=steps, q=cfg.q if cfg.q is not None else q_eq)
-        cycle = steps + 1
+        every = max(1, math.ceil((steps + 1) / 40))
     if cfg.alpha == "auto":
         cfg = replace(cfg, alpha=max_stepsize(problem.n, cfg.B, cfg.q, lam, problem.L,
                                               variant="complexity"))
     if cfg.record_every is None:
-        cfg = replace(cfg, record_every=max(1, math.ceil(cycle / 4))
-                      if cfg.algorithm == "gt-sarah" else max(1, math.ceil(cycle / 40)))
+        cfg = replace(cfg, record_every=every)
     if cfg.def33_every is None:
         cfg = replace(cfg, def33_every=cfg.record_every)
     return cfg

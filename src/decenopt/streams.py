@@ -26,6 +26,9 @@ def node_streams(seed: int, n: int, namespace: tuple[int, ...] = ()) -> list[np.
     return [substream(seed, *namespace, i) for i in range(n)]
 
 
+INDEX_BLOCK = 8192  # indices each node draws ahead per refill (rounded down to whole rounds)
+
+
 class IndexStreams:
     """Uniform component indices for every node, drawn ahead in blocks.
 
@@ -33,23 +36,20 @@ class IndexStreams:
     ``rng.integers(0, m, size=B)`` call per node would return. numpy draws a
     block of k * B bounded integers exactly as k successive draws of B, so
     drawing ahead never changes a trajectory; it replaces n generator calls
-    and a stack per round with one slice. Blocks double from 8 rounds up to
-    about ``max_block`` indices per node, so a short run draws little ahead.
+    and a stack per round with one slice.
     """
 
-    def __init__(self, rngs, m: int, B: int, max_block: int = 8192):
+    def __init__(self, rngs, m: int, B: int):
         self.rngs = rngs
         self.m = m
         self.B = B
-        self._max_rounds = max(1, max_block // B)
-        self._rounds = 4
+        self._size = max(1, INDEX_BLOCK // B) * B
         self._block = np.empty((len(rngs), 0), dtype=np.int64)
         self._pos = 0
 
     def take(self) -> np.ndarray:
         if self._pos == self._block.shape[1]:
-            self._rounds = min(2 * self._rounds, self._max_rounds)
-            self._block = np.stack([rng.integers(0, self.m, size=self._rounds * self.B)
+            self._block = np.stack([rng.integers(0, self.m, size=self._size)
                                     for rng in self.rngs])
             self._pos = 0
         out = self._block[:, self._pos:self._pos + self.B]

@@ -11,7 +11,7 @@ from decenopt.algorithms import (RunConfig, baseline_state, communication_optima
                                  sample_indices, sarah_estimator)
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
-from decenopt.streams import IndexStreams, node_streams
+from decenopt.streams import INDEX_BLOCK, IndexStreams, node_streams
 from helpers import reference_sarah, reference_sgd
 
 
@@ -243,6 +243,17 @@ def test_dsgd_full_pass_uses_batch_gradients():
         dsgd_step(st, prob, W, 0.2, 2, rngs=None)  # full pass needs B = m
 
 
+@pytest.mark.parametrize("make", [lambda: initial_state(np.zeros(2), 3),
+                                  lambda: dsgt_init(baseline_state(np.zeros(2), 3),
+                                                    synthesize("heterogeneous", 3, 4, 2, seed=16),
+                                                    4, None)])
+def test_dsgd_rejects_tracked_state(make):
+    # dsgd never tracks: a state carrying a tracker must not be descended along y
+    prob = synthesize("heterogeneous", 3, 4, 2, seed=16)
+    with pytest.raises(ValueError, match="untracked"):
+        dsgd_step(make(), prob, ring_mix(3).entries, 0.2, prob.m, rngs=None)
+
+
 def test_dsgd_zero_step_contracts_consensus():
     prob = synthesize("heterogeneous", 5, 3, 2, seed=18)
     mix = ring_mix(5)
@@ -303,9 +314,9 @@ def test_sample_indices_shape_and_order_independence():
 def test_index_streams_match_per_round_draws(m, B):
     # drawing ahead in blocks must return exactly the per-round draws,
     # across block refills, so the run engine's trajectories do not change
-    ahead = IndexStreams(node_streams(8, 3), m, B, max_block=8 * B)
+    ahead = IndexStreams(node_streams(8, 3), m, B)
     rngs = node_streams(8, 3)
-    for _ in range(40):
+    for _ in range(2 * (INDEX_BLOCK // B) + 3):
         assert np.array_equal(sample_indices(ahead, m, B), sample_indices(rngs, m, B))
     with pytest.raises(ValueError, match="asked for"):
         sample_indices(ahead, m, B + 1)
