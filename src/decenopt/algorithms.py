@@ -326,20 +326,19 @@ class RunConfig:
     steps: int | None = None
     epochs: float | None = None
     seed: int = 0
-    epsilon: float = 0.1
     record_every: int | None = None
     def33_every: int | None = None
     x0: np.ndarray | None = None
     replicate: int = 0
-    divergence_norm: float = 1e12
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.B < 1:
-            raise ValueError("minibatch size must be at least 1")
-        if self.q is not None and self.q < 1:
-            raise ValueError("inner-loop length must be at least 1")
+        for name in ("B", "q", "S", "steps", "record_every", "def33_every"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.epochs is not None and self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ValueError(f"alpha must be nonnegative or 'auto', got {self.alpha!r}")

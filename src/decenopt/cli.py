@@ -72,19 +72,39 @@ def cmd_weights(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment config
 
-_RESERVED_SECTIONS = ("experiment", "topology", "data")
+# The config schema: each key with its type and default (None: unset), in
+# dump order. An algorithm section passes only the keys it sets, so RunConfig's
+# own defaults apply; [data] keeps its file or its synthetic keys, by source.
+_SECTIONS = {
+    "experiment": {"seed": (int, 0), "replicates": (int, 1), "out": (str, "runs"),
+                   "workers": (int, 1), "record_every": (int, None)},
+    "topology": {"kind": (str, None), "n": (int, None), "path": (str, None),
+                 "rows": (int, None), "cols": (int, None)},
+    "data": {"source": (str, "synthetic"), "reg": (float, 1e-3), "seed": (int, None),
+             "kind": (str, "heterogeneous"), "family": (str, "quadratic"),
+             "m": (int, None), "p": (int, None), "heterogeneity": (float, 1.0),
+             "format": (str, "libsvm"), "label_rule": (str, "sign"),
+             "max_samples": (int, None)},
+}
+_SYNTHETIC_KEYS = ("kind", "family", "m", "p", "heterogeneity")
+_FILE_KEYS = ("format", "label_rule", "max_samples")
+
+
+def auto_or_float(raw: str):
+    return raw if raw == "auto" else float(raw)
+
+
+_ALGORITHM_KEYS = {"alpha": (auto_or_float, None), "B": (int, None), "q": (int, None),
+                   "S": (int, None), "steps": (int, None), "record_every": (int, None),
+                   "epochs": (float, None)}
 
 
 @dataclass
 class ExperimentConfig:
     """Parsed experiment: topology + data + one RunConfig per algorithm."""
 
-    topology_kind: str
-    topology_n: int
-    topology_rows: int | None
-    topology_cols: int | None
-    topology_path: str | None
-    data_spec: dict
+    topology_spec: dict         # [topology] keys; a custom graph's n comes from its file
+    data_spec: dict             # [data] keys that apply to its source
     algorithms: list            # (label, RunConfig) pairs
     seed: int
     replicates: int
@@ -93,21 +113,20 @@ class ExperimentConfig:
     record_every: int | None
 
     def topology(self) -> graph.Topology:
-        if self.topology_kind == "custom":
-            return graph.read_edge_list(self.topology_path)
-        return graph.build_topology(self.topology_kind, self.topology_n,
-                                    rows=self.topology_rows, cols=self.topology_cols)
+        t = self.topology_spec
+        if t["kind"] == "custom":
+            return graph.read_edge_list(t["path"])
+        return graph.build_topology(t["kind"], t["n"], rows=t["rows"], cols=t["cols"])
 
     def problem(self):
-        d = self.data_spec
+        d, n = self.data_spec, self.topology_spec["n"]
         if d["source"] == "synthetic":
-            return data.synthesize(d["kind"], self.topology_n, d["m"], d["p"],
-                                   seed=d["data_seed"], family=d["family"],
-                                   heterogeneity=d["heterogeneity"], reg=d["reg"])
-        raw = data.parse_libsvm(d["path"]) if d["format"] == "libsvm" else data.parse_csv(d["path"])
+            return data.synthesize(d["kind"], n, d["m"], d["p"], seed=d["seed"],
+                                   family=d["family"], heterogeneity=d["heterogeneity"],
+                                   reg=d["reg"])
+        raw = data.parse_libsvm(d["source"]) if d["format"] == "libsvm" else data.parse_csv(d["source"])
         rule = _label_rule(d["label_rule"])
-        dataset, _ = data.prepare(raw, self.topology_n, seed=d["data_seed"],
-                                  label_rule=rule, reg=d["reg"],
+        dataset, _ = data.prepare(raw, n, seed=d["seed"], label_rule=rule, reg=d["reg"],
                                   max_samples=d["max_samples"])
         from .objective import LogisticProblem
         return LogisticProblem(dataset)
@@ -122,14 +141,19 @@ def _label_rule(spec: str):
     raise ConfigError(f"unknown label rule {spec!r} (use 'sign' or 'pair:POS,NEG')")
 
 
-def _get(cp, section, key, default=None, cast=str):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key)
+def _read(cp, section, table) -> dict:
+    """Every key of ``table`` as [section] sets it, cast to its type, or else its default."""
+    names = {key.lower(): key for key in table}
+    values = {key: default for key, (_, default) in table.items()}
+    for key, raw in cp.items(section) if cp.has_section(section) else ():
+        if key not in names:
+            raise ConfigError(f"section [{section}]: unknown key {key!r}")
+        cast = table[names[key]][0]
         try:
-            return cast(raw)
+            values[names[key]] = cast(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}") from None
-    return default
+    return values
 
 
 def parse_experiment(path_or_file) -> ExperimentConfig:
@@ -144,118 +168,64 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
     for sec in ("topology", "data"):
         if not cp.has_section(sec):
             raise ConfigError(f"missing [{sec}] section")
+    exp = _read(cp, "experiment", _SECTIONS["experiment"])
 
-    kind = _get(cp, "topology", "kind")
-    if kind is None:
+    topo = _read(cp, "topology", _SECTIONS["topology"])
+    if topo["kind"] is None:
         raise ConfigError("[topology] needs kind")
-    rows = _get(cp, "topology", "rows", cast=int)
-    cols = _get(cp, "topology", "cols", cast=int)
-    path = _get(cp, "topology", "path")
-    if kind == "custom":
-        if path is None:
+    if topo["kind"] == "custom":
+        if topo["path"] is None:
             raise ConfigError("[topology] kind=custom needs path")
-        if not os.path.exists(path):
-            raise ConfigError(f"topology edge list not found: {path}")
-        n = graph.read_edge_list(path).n
-    else:
-        n = _get(cp, "topology", "n", cast=int)
-        if n is None:
-            raise ConfigError("[topology] needs n")
+        if not os.path.exists(topo["path"]):
+            raise ConfigError(f"topology edge list not found: {topo['path']}")
+        topo["n"] = graph.read_edge_list(topo["path"]).n
+    elif topo["n"] is None:
+        raise ConfigError("[topology] needs n")
 
-    seed = _get(cp, "experiment", "seed", 0, int)
-    src = _get(cp, "data", "source", "synthetic")
-    spec = {"source": src,
-            "reg": _get(cp, "data", "reg", 1e-3, float),
-            "data_seed": _get(cp, "data", "seed", seed, int)}
-    if src == "synthetic":
-        spec.update(kind=_get(cp, "data", "kind", "heterogeneous"),
-                    family=_get(cp, "data", "family", "quadratic"),
-                    m=_get(cp, "data", "m", cast=int),
-                    p=_get(cp, "data", "p", cast=int),
-                    heterogeneity=_get(cp, "data", "heterogeneity", 1.0, float))
-        if spec["m"] is None or spec["p"] is None:
-            raise ConfigError("[data] synthetic source needs m and p")
-    else:
-        spec.update(path=src,
-                    format=_get(cp, "data", "format", "libsvm"),
-                    label_rule=_get(cp, "data", "label_rule", "sign"),
-                    max_samples=_get(cp, "data", "max_samples", cast=int))
-        if not os.path.exists(src):
-            raise ConfigError(f"data file not found: {src}")
+    spec = _read(cp, "data", _SECTIONS["data"])
+    if spec["seed"] is None:
+        spec["seed"] = exp["seed"]
+    synthetic = spec["source"] == "synthetic"
+    for key in _FILE_KEYS if synthetic else _SYNTHETIC_KEYS:
+        del spec[key]
+    if synthetic and (spec["m"] is None or spec["p"] is None):
+        raise ConfigError("[data] synthetic source needs m and p")
+    if not synthetic and not os.path.exists(spec["source"]):
+        raise ConfigError(f"data file not found: {spec['source']}")
 
-    record_every = _get(cp, "experiment", "record_every", cast=int)
     algs = []
     for sec in cp.sections():
-        if sec in _RESERVED_SECTIONS:
+        if sec in _SECTIONS:
             continue
         name = sec.split(":", 1)[0]
         if name not in algorithms.ALGORITHMS:
             raise ConfigError(f"section [{sec}] does not name an algorithm "
                               f"(expected one of {algorithms.ALGORITHMS})")
-        alpha_raw = _get(cp, sec, "alpha", "auto")
-        alpha = alpha_raw if alpha_raw == "auto" else float(alpha_raw)
+        given = {key: v for key, v in _read(cp, sec, _ALGORITHM_KEYS).items() if v is not None}
+        given.setdefault("record_every", exp["record_every"])
         try:
-            rc = algorithms.RunConfig(
-                algorithm=name, alpha=alpha,
-                B=_get(cp, sec, "B", 1, int),
-                q=_get(cp, sec, "q", cast=int),
-                S=_get(cp, sec, "S", cast=int),
-                steps=_get(cp, sec, "steps", cast=int),
-                epochs=_get(cp, sec, "epochs", cast=float),
-                epsilon=_get(cp, sec, "epsilon", 0.1, float),
-                record_every=_get(cp, sec, "record_every", record_every, int),
-                seed=seed)
+            rc = algorithms.RunConfig(algorithm=name, seed=exp["seed"], **given)
         except ValueError as exc:
             raise ConfigError(f"section [{sec}]: {exc}") from None
         algs.append((sec, rc))
     if not algs:
         raise ConfigError("config defines no algorithm sections")
-
-    return ExperimentConfig(
-        topology_kind=kind, topology_n=n, topology_rows=rows, topology_cols=cols,
-        topology_path=path, data_spec=spec, algorithms=algs, seed=seed,
-        replicates=_get(cp, "experiment", "replicates", 1, int),
-        out=_get(cp, "experiment", "out", "runs"),
-        workers=_get(cp, "experiment", "workers", 1, int),
-        record_every=record_every)
+    return ExperimentConfig(topology_spec=topo, data_spec=spec, algorithms=algs, **exp)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical INI text that re-parses to an equivalent experiment."""
+    topo = dict(cfg.topology_spec)
+    if topo["kind"] == "custom":
+        topo["n"] = None        # read from the edge list on parse
+    sections = [("experiment", {key: getattr(cfg, key) for key in _SECTIONS["experiment"]}),
+                ("topology", topo), ("data", cfg.data_spec)]
+    sections += [(label, {key: getattr(rc, key) for key in _ALGORITHM_KEYS})
+                 for label, rc in cfg.algorithms]
     cp = configparser.ConfigParser(interpolation=None)
-    cp["experiment"] = {"seed": str(cfg.seed), "replicates": str(cfg.replicates),
-                        "out": cfg.out, "workers": str(cfg.workers)}
-    if cfg.record_every is not None:
-        cp["experiment"]["record_every"] = str(cfg.record_every)
-    topo = {"kind": cfg.topology_kind}
-    if cfg.topology_kind == "custom":
-        topo["path"] = cfg.topology_path
-    else:
-        topo["n"] = str(cfg.topology_n)
-    if cfg.topology_rows is not None:
-        topo["rows"] = str(cfg.topology_rows)
-        topo["cols"] = str(cfg.topology_cols)
-    cp["topology"] = topo
-    d = dict(cfg.data_spec)
-    sec = {"source": d["source"] if d["source"] == "synthetic" else d["path"],
-           "reg": repr(d["reg"]), "seed": str(d["data_seed"])}
-    if d["source"] == "synthetic":
-        sec.update(kind=d["kind"], family=d["family"], m=str(d["m"]), p=str(d["p"]),
-                   heterogeneity=repr(d["heterogeneity"]))
-    else:
-        sec.update(format=d["format"], label_rule=d["label_rule"])
-        if d["max_samples"] is not None:
-            sec["max_samples"] = str(d["max_samples"])
-    cp["data"] = sec
-    for label, rc in cfg.algorithms:
-        alg = {"alpha": rc.alpha if isinstance(rc.alpha, str) else repr(rc.alpha),
-               "B": str(rc.B), "epsilon": repr(rc.epsilon)}
-        for key in ("q", "S", "steps", "record_every"):
-            if getattr(rc, key) is not None:
-                alg[key] = str(getattr(rc, key))
-        if rc.epochs is not None:
-            alg["epochs"] = repr(rc.epochs)
-        cp[label] = alg
+    for sec, values in sections:
+        cp[sec] = {key: repr(v) if isinstance(v, float) else str(v)
+                   for key, v in values.items() if v is not None}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -268,15 +238,10 @@ def _safe_name(label: str) -> str:
 def cmd_run(args) -> int:
     try:
         cfg = parse_experiment(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.algorithms = [(lbl, replace(rc, seed=args.seed)) for lbl, rc in cfg.algorithms]
-        if args.replicates is not None:
-            cfg.replicates = args.replicates
-        if args.out is not None:
-            cfg.out = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
+        for key in _SECTIONS["experiment"]:     # --seed, --replicates, --out, --workers
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
+        cfg.algorithms = [(lbl, replace(rc, seed=cfg.seed)) for lbl, rc in cfg.algorithms]
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return EXIT_OK
@@ -373,7 +338,9 @@ def main(argv=None) -> int:
     r = sub.add_parser("run", help="run the experiment described by a config file")
     r.add_argument("--config", required=True)
     r.add_argument("--out", help="output directory (overrides config)")
-    r.add_argument("--seed", type=int, help="master seed (overrides config)")
+    r.add_argument("--seed", type=int,
+                   help="master seed of the sampling streams (overrides [experiment] seed; "
+                        "[data] seed still defaults to the file's [experiment] seed)")
     r.add_argument("--replicates", type=int, help="replicate count (overrides config)")
     r.add_argument("--workers", type=int, help="parallel replicate workers")
     r.add_argument("--dump-config", action="store_true",

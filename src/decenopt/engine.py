@@ -29,6 +29,8 @@ CSV_HEADER = ("algorithm,seed,s,t,epochs,grads_total,comm_rounds,"
 
 _ALG_STREAM_ID = {"gt-sarah": 0, "dsgd": 1, "dsgt": 2}
 
+DIVERGENCE_NORM = 1e12      # state norm beyond which a run is declared diverged
+
 
 class DivergenceError(RuntimeError):
     """Raised when the stacked state leaves the finite trust region."""
@@ -220,7 +222,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     ``weights`` is a MixingMatrix or a plain (n, n) array. All nodes start
     from the same point (config.x0, default the origin). Raises
     DivergenceError (with the partial trace attached) if the state norm
-    exceeds config.divergence_norm or turns non-finite.
+    exceeds DIVERGENCE_NORM or turns non-finite.
     """
     W = np.asarray(getattr(weights, "entries", weights), dtype=float)
     if W.shape != (problem.n, problem.n):
@@ -250,7 +252,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     for s, t in rounds:
         rec.observe(state.x, state.counters, s, t)
         step(state, problem, W, cfg.alpha, cfg.B, rngs)
-        _check_finite(state, cfg.divergence_norm, trace)
+        _check_finite(state, DIVERGENCE_NORM, trace)
     rec.observe(state.x, state.counters, state.s, state.t, force=True)
     trace.final_x = state.x
     return trace

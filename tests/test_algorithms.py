@@ -464,3 +464,10 @@ def test_runconfig_validation():
         RunConfig(algorithm="gt-sarah", q=0)
     cfg = RunConfig(algorithm="gt-sarah")
     assert cfg.alpha == "auto"
+
+
+def test_runconfig_rejects_nonpositive_def33_cadence():
+    # def33_every has no INI key; the other budgets and cadences are
+    # checked through the CLI in test_cli.py
+    with pytest.raises(ValueError, match=r"^def33_every must be at least 1, got 0$"):
+        RunConfig(algorithm="dsgd", steps=5, def33_every=0)

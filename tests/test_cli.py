@@ -1,5 +1,8 @@
+import configparser
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,38 @@ def test_run_missing_budget_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("S = 3", "S = 0", "section [gt-sarah]: S must be at least 1, got 0"),
+    ("epochs = 3", "steps = 0", "section [dsgt]: steps must be at least 1, got 0"),
+    ("epochs = 3", "epochs = -1", "section [dsgt]: epochs must be positive, got -1.0"),
+    ("replicates = 1", "record_every = 0",
+     "section [gt-sarah]: record_every must be at least 1, got 0"),
+], ids=["S=0", "steps=0", "epochs=-1", "record_every=0"])
+def test_run_nonpositive_budget_or_cadence_is_config_error(tmp_path, capsys, old, new, message):
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("alpha = 0.1", "alfa = 0.1", "dsgt", "alfa"),
+    ("q = 8", "q = 8\ndef33_every = 1", "gt-sarah", "def33_every"),
+    ("m = 8", "m = 8\nsamples = 8", "data", "samples"),
+    ("n = 4", "n = 4\nsize = 4", "topology", "size"),
+    ("replicates = 1", "replicate = 1", "experiment", "replicate"),
+    ("B = 2", "B = 2\nepsilon = 0.1", "dsgt", "epsilon"),
+], ids=["alfa", "def33_every", "samples", "size", "replicate", "epsilon"])
+def test_unknown_key_is_config_error(tmp_path, capsys, old, new, section, key):
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: section [{section}]: unknown key {key!r}\n"
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, BASE_CONFIG.replace("alpha = 0.05", "alpha = 1e6"))
     assert main(["run", "--config", cfg]) == EXIT_DIVERGED
@@ -202,8 +237,31 @@ def test_dump_config_roundtrip(tmp_path, capsys):
     assert dump_config(reparsed) == dumped
     original = parse_experiment(cfg)
     assert reparsed.seed == original.seed
-    assert reparsed.topology_kind == original.topology_kind
+    assert reparsed.topology_spec["kind"] == original.topology_spec["kind"]
     assert [rc for _, rc in reparsed.algorithms] == [rc for _, rc in original.algorithms]
+
+
+def test_seed_flag_reseeds_streams_not_data(tmp_path, capsys):
+    # --seed overrides [experiment] seed; [data] seed keeps its default,
+    # the [experiment] seed written in the file
+    cfg, _ = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--seed", "7", "--dump-config"]) == EXIT_OK
+    dumped = configparser.ConfigParser()
+    dumped.read_string(capsys.readouterr().out)
+    assert dumped["experiment"]["seed"] == "7"
+    assert dumped["data"]["seed"] == "42"
+
+
+def test_readme_config_example_parses_and_round_trips():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    parsed = parse_experiment(io.StringIO(blocks[0]))
+    dumped = dump_config(parsed)
+    reparsed = parse_experiment(io.StringIO(dumped))
+    assert dump_config(reparsed) == dumped
+    assert reparsed.algorithms == parsed.algorithms
+    assert (reparsed.topology_spec, reparsed.data_spec) == (parsed.topology_spec, parsed.data_spec)
 
 
 def test_dump_config_does_not_run(tmp_path):
