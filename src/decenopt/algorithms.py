@@ -105,8 +105,7 @@ def sample_indices(rngs, m: int, B: int) -> np.ndarray:
 
 def sarah_estimator(problem, X, X_prev, V_prev, indices) -> np.ndarray:
     """Recursive estimator: minibatch(grad(X) - grad(X_prev)) + V_prev, row-wise."""
-    g_new = problem.minibatch_gradients(X, indices)
-    g_old = problem.minibatch_gradients(X_prev, indices)
+    g_new, g_old = problem.minibatch_gradients(np.array((X, X_prev)), indices)
     return (g_new - g_old) + V_prev
 
 

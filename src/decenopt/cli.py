@@ -159,12 +159,15 @@ def _read(cp, section, table) -> dict:
 def parse_experiment(path_or_file) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";", "#"))
-    if hasattr(path_or_file, "read"):
-        cp.read_file(path_or_file)
-    else:
-        if not os.path.exists(path_or_file):
+    try:
+        if hasattr(path_or_file, "read"):
+            cp.read_file(path_or_file)
+        elif os.path.exists(path_or_file):
+            cp.read(path_or_file)
+        else:
             raise ConfigError(f"config file not found: {path_or_file}")
-        cp.read(path_or_file)
+    except configparser.Error as exc:       # duplicate key, no section header, ...
+        raise ConfigError(" ".join(str(exc).split())) from None
     for sec in ("topology", "data"):
         if not cp.has_section(sec):
             raise ConfigError(f"missing [{sec}] section")

@@ -21,7 +21,7 @@ import numpy as np
 from .algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_step,
                          gt_sarah_cycle_handoff, gt_sarah_inner_step,
                          gt_sarah_outer_init, initial_state, max_stepsize)
-from .graph import spectral_quantities
+from .graph import spectral_quantities, validate_mixing
 from .streams import IndexStreams, node_streams
 
 CSV_HEADER = ("algorithm,seed,s,t,epochs,grads_total,comm_rounds,"
@@ -167,7 +167,7 @@ class _Recorder:
 
 
 def _check_finite(state, limit, trace):
-    if not np.isfinite(state.x).all() or np.linalg.norm(state.x) > limit:
+    if not np.linalg.norm(state.x) <= limit:     # also true for a NaN or inf norm
         raise DivergenceError(f"state norm left the finite trust region (> {limit:g}) "
                               f"at (s={state.s}, t={state.t})", trace)
 
@@ -219,16 +219,22 @@ def _gt_sarah_step(state, problem, W, alpha, B, rngs, q):
 def run(problem, weights, config: RunConfig) -> RunTrace:
     """Execute one experiment run and return its trace.
 
-    ``weights`` is a MixingMatrix or a plain (n, n) array. All nodes start
-    from the same point (config.x0, default the origin). Raises
-    DivergenceError (with the partial trace attached) if the state norm
-    exceeds DIVERGENCE_NORM or turns non-finite.
+    ``weights`` is a MixingMatrix or a plain (n, n) array; a plain array
+    must be nonnegative and doubly stochastic, else ValueError (primitivity
+    is not required). All nodes start from the same point (config.x0,
+    default the origin). Raises DivergenceError (with the partial trace
+    attached) if the state norm exceeds DIVERGENCE_NORM or turns non-finite.
     """
     W = np.asarray(getattr(weights, "entries", weights), dtype=float)
     if W.shape != (problem.n, problem.n):
         raise ValueError(f"weights shape {W.shape} does not match n={problem.n}")
     lam = getattr(weights, "lam", None)
     if lam is None:
+        report = validate_mixing(W)
+        if not (report.nonnegative and report.rows_stochastic and report.cols_stochastic):
+            raise ValueError("weights must be nonnegative and doubly stochastic (max row/column "
+                             f"sum deviation {report.max_row_deviation:.2e}/"
+                             f"{report.max_col_deviation:.2e})")
         lam, _ = spectral_quantities(W)
     cfg = resolve(config, problem, lam)
 

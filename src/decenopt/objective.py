@@ -23,12 +23,9 @@ def softplus(z):
 def sigmoid(z):
     """1 / (1 + e^{-z}) evaluated without overflow for any finite z."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 class FiniteSumProblem:
@@ -41,7 +38,8 @@ class FiniteSumProblem:
     engine calls: ``batch_gradients(X)`` (row i: node i's local gradient at
     X[i]), ``minibatch_gradients(X, indices)`` (row i: mean of node i's
     component gradients at X[i] over the B draws indices[i], which may
-    repeat), ``full_gradient(x)`` and ``full_value(x)``.
+    repeat; X may also stack k points as (k, n, p), giving (k, n, p) from
+    one gather), ``full_gradient(x)`` and ``full_value(x)``.
     """
 
     n: int
@@ -136,6 +134,7 @@ class LogisticProblem(FiniteSumProblem):
         self.m = dataset.m
         self.p = dataset.p
         self.L = float(L) if L is not None else 0.25 + 2.0 * dataset.reg
+        self._rows = np.arange(self.n)[:, None]
 
     def _reg_value(self, x):
         x2 = x * x
@@ -190,12 +189,11 @@ class LogisticProblem(FiniteSumProblem):
     def minibatch_gradients(self, X, indices):
         d = self.dataset
         X = np.asarray(X, dtype=float)
-        rows = np.arange(self.n)[:, None]
-        theta = d.features[rows, indices]          # (n, B, p)
-        xi = d.labels[rows, indices]               # (n, B)
-        margins = np.einsum("ibp,ip->ib", theta, X) * xi
+        theta = d.features[self._rows, indices]    # (n, B, p)
+        xi = d.labels[self._rows, indices]         # (n, B)
+        margins = np.einsum("ibp,...ip->...ib", theta, X) * xi
         coeff = -xi * sigmoid(-margins)
-        loss = np.einsum("ib,ibp->ip", coeff, theta) / indices.shape[1]
+        loss = np.einsum("...ib,ibp->...ip", coeff, theta) / indices.shape[1]
         return loss + 2.0 * d.reg * X / (1.0 + X * X) ** 2
 
 
@@ -222,6 +220,7 @@ class QuadraticProblem(FiniteSumProblem):
         self.centers = c
         self.n, self.m, self.p = a.shape
         self.L = float(a.max())
+        self._rows = np.arange(self.n)[:, None]
         # global cost is 0.5 x' Abar x - x' b + const with diagonal Abar
         self._abar = a.mean(axis=(0, 1))
         self._b = (a * c).mean(axis=(0, 1))
@@ -253,10 +252,9 @@ class QuadraticProblem(FiniteSumProblem):
 
     def minibatch_gradients(self, X, indices):
         X = np.asarray(X, dtype=float)
-        rows = np.arange(self.n)[:, None]
-        a = self.curvatures[rows, indices]
-        c = self.centers[rows, indices]
-        return (a * (X[:, None, :] - c)).mean(axis=1)
+        a = self.curvatures[self._rows, indices]
+        c = self.centers[self._rows, indices]
+        return (a * (X[..., None, :] - c)).mean(axis=-2)
 
     def minimizer(self) -> np.ndarray:
         return self._b / self._abar

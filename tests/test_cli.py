@@ -180,6 +180,19 @@ def test_unknown_key_is_config_error(tmp_path, capsys, old, new, section, key):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text", [
+    BASE_CONFIG.replace("B = 2", "B = 2\nB = 4"),
+    "seed = 1\n" + BASE_CONFIG,
+], ids=["duplicate-key", "no-section-header"])
+def test_config_syntax_error_is_config_error(tmp_path, capsys, text):
+    cfg, out = write_config(tmp_path, text)
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error: ") and printed.err.count("\n") == 1
+    assert printed.out == ""
+    assert not os.path.exists(out)
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, BASE_CONFIG.replace("alpha = 0.05", "alpha = 1e6"))
     assert main(["run", "--config", cfg]) == EXIT_DIVERGED

@@ -212,6 +212,27 @@ def test_divergence_guard_on_baseline():
     assert re.search(r"at \(s=0, t=\d+\)$", str(exc.value))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_divergence_guard_on_non_finite_state(bad):
+    prob = synthesize("heterogeneous", 3, 4, 2, seed=24)
+    cfg = RunConfig(algorithm="gt-sarah", alpha=0.1, B=1, q=3, S=1, seed=9,
+                    x0=np.array([bad, 0.0]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            run(prob, ring_mix(3), cfg)
+    assert str(exc.value).endswith("at (s=1, t=1)")
+
+
+def test_run_rejects_raw_weights_not_doubly_stochastic():
+    prob = synthesize("heterogeneous", 3, 4, 2, seed=25)
+    cfg = RunConfig(algorithm="dsgd", alpha=0.1, steps=5)
+    row_only = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="doubly stochastic") as exc:
+        run(prob, row_only, cfg)
+    assert "\n" not in str(exc.value)
+    assert run(prob, np.eye(3), cfg).final_x.shape == (3, 2)
+
+
 def test_run_rejects_mismatched_weights():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=25)
     with pytest.raises(ValueError):

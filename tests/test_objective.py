@@ -5,7 +5,7 @@ import pytest
 
 from decenopt.data import synthesize
 from decenopt.objective import (LogisticDataset, LogisticProblem, QuadraticProblem,
-                                estimate_smoothness, softplus)
+                                estimate_smoothness, sigmoid, softplus)
 from helpers import fd_gradient, mean_component_gradients
 
 
@@ -165,6 +165,48 @@ def test_stacked_oracles_match_rowwise():
     for i in range(3):
         gs = [prob.component_gradient(i, int(j), X[i]) for j in idx[i]]
         assert np.allclose(mb[i], np.mean(gs, axis=0), rtol=1e-13)
+
+
+def masked_sigmoid(z):
+    """The masked two-branch form that ``sigmoid`` must match bit for bit."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        745.2, -745.2, 710.0, -710.0, 1e-320, -1e-320])
+    assert sigmoid(special).tobytes() == masked_sigmoid(special).tobytes()
+    rng = np.random.default_rng(16)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        z = rng.normal(size=10 ** 5) * scale
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        z = z.reshape(100, 1000)
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+def random_quadratic(n, m, p, seed):
+    rng = np.random.default_rng(seed)
+    return QuadraticProblem(rng.uniform(0.5, 2.0, size=(n, m, p)), rng.normal(size=(n, m, p)))
+
+
+@pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
+@pytest.mark.parametrize("n, m, p, B", [(3, 4, 2, 1), (10, 1000, 10, 1), (20, 200, 128, 64)])
+def test_minibatch_gradients_stacked_points_bitwise(make, n, m, p, B):
+    prob = make(n, m, p, seed=17)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        X, Y = rng.normal(size=(n, p)) * 3.0, rng.normal(size=(n, p))
+        idx = rng.integers(0, m, size=(n, B))
+        both = prob.minibatch_gradients(np.array((X, Y)), idx)
+        assert both.shape == (2, n, p)
+        assert both[0].tobytes() == prob.minibatch_gradients(X, idx).tobytes()
+        assert both[1].tobytes() == prob.minibatch_gradients(Y, idx).tobytes()
 
 
 # ---------------------------------------------------------------------------
