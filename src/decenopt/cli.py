@@ -112,6 +112,11 @@ class ExperimentConfig:
     workers: int
     record_every: int | None
 
+    def __post_init__(self):
+        for key in ("replicates", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+
     def topology(self) -> graph.Topology:
         t = self.topology_spec
         if t["kind"] == "custom":
@@ -241,9 +246,9 @@ def _safe_name(label: str) -> str:
 def cmd_run(args) -> int:
     try:
         cfg = parse_experiment(args.config)
-        for key in _SECTIONS["experiment"]:     # --seed, --replicates, --out, --workers
-            if getattr(args, key, None) is not None:
-                setattr(cfg, key, getattr(args, key))
+        overrides = {key: getattr(args, key) for key in _SECTIONS["experiment"]
+                     if getattr(args, key, None) is not None}     # --seed, --out, ...
+        cfg = replace(cfg, **overrides)     # re-checks replicates and workers
         cfg.algorithms = [(lbl, replace(rc, seed=cfg.seed)) for lbl, rc in cfg.algorithms]
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
@@ -265,31 +270,35 @@ def cmd_run(args) -> int:
             for label, rc in cfg.algorithms for r in range(cfg.replicates)]
 
     def one(job):
+        # a diverged job keeps its partial trace; the other jobs still finish
         label, rc = job
-        return label, rc.replicate, engine.run(problem, mix, rc)
+        try:
+            return label, rc.replicate, engine.run(problem, mix, rc), None
+        except engine.DivergenceError as exc:
+            return label, rc.replicate, exc.trace, exc
 
-    try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(one, jobs))
-        else:
-            results = [one(j) for j in jobs]
-    except engine.DivergenceError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(one, jobs))
+    else:
+        results = [one(j) for j in jobs]
 
     print(f"{'algorithm':<16}{'replicate':>10}{'epochs':>10}{'final_gap':>14}")
     finals = {}
-    for label, rep, trace in results:
-        path = os.path.join(cfg.out, f"{_safe_name(label)}_r{rep}.csv")
-        trace.to_csv(path)
+    diverged = False
+    for label, rep, trace, exc in results:
+        trace.to_csv(os.path.join(cfg.out, f"{_safe_name(label)}_r{rep}.csv"))
+        if exc is not None:
+            print(f"diverged: section [{label}] replicate {rep}: {exc}", file=sys.stderr)
+            diverged = True
+            continue
         fin = trace.final
         finals.setdefault(label, []).append(fin.stationary_gap)
         print(f"{label:<16}{rep:>10}{fin.epochs:>10.2f}{fin.stationary_gap:>14.6g}")
     if cfg.replicates > 1:
         for label, gaps in finals.items():
             print(f"{label:<16}{'mean':>10}{'':>10}{sum(gaps) / len(gaps):>14.6g}")
-    return EXIT_OK
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

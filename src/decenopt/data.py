@@ -10,6 +10,7 @@ structure for oracle testing and experiments that need exact optima.
 from __future__ import annotations
 
 import gzip
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,13 @@ def _open_text(source, mode="r"):
     if path.endswith(".gz"):
         return gzip.open(path, mode + "t"), True
     return open(path, mode), True
+
+
+def _source_name(source):
+    """The path a parser read, in full, or the name of an open file object."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        return str(source)
+    return getattr(source, "name", None)
 
 
 def parse_libsvm(source, p: int | None = None) -> RawDataset:
@@ -87,9 +95,8 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
     for k, entries in enumerate(rows):
         for idx, val in entries.items():
             X[k, idx - 1] = val
-    name = getattr(source, "name", None) if not isinstance(source, (str, bytes)) else str(source)
     return RawDataset(features=X, labels=np.asarray(labels, dtype=float),
-                      source=name, fmt="libsvm")
+                      source=_source_name(source), fmt="libsvm")
 
 
 def serialize_libsvm(dataset: RawDataset, target) -> None:
@@ -128,8 +135,8 @@ def parse_csv(source) -> RawDataset:
             raise ValueError(f"line {lineno}: non-numeric value") from None
         X.append(vals[:-1])
         y.append(vals[-1])
-    name = getattr(source, "name", None) if not isinstance(source, (str, bytes)) else str(source)
-    return RawDataset(features=np.asarray(X), labels=np.asarray(y), source=name, fmt="csv")
+    return RawDataset(features=np.asarray(X), labels=np.asarray(y), source=_source_name(source),
+                      fmt="csv")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ cycle); dsgd/dsgt records carry s = 0 and t = step index.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -55,14 +56,22 @@ def stationary_gap(problem, X: np.ndarray) -> float:
 
 
 def def33_term(problem, X: np.ndarray) -> float:
-    """Per-iterate squared stationarity: (1/n) sum_i ||grad F(x_i)||^2 + L^2 ||x_i - xbar||^2."""
+    """Per-iterate squared stationarity: (1/n) sum_i ||grad F(x_i)||^2 + L^2 ||x_i - xbar||^2.
+
+    Rows equal byte for byte share one full gradient, so a consensus state
+    (every run's start) costs one full pass, not n.
+    """
     X = np.asarray(X, dtype=float)
     xbar = X.mean(axis=0)
+    grad_sq = {}
     total = 0.0
     for i in range(X.shape[0]):
-        g = problem.full_gradient(X[i])
+        key = X[i].tobytes()
+        if key not in grad_sq:
+            g = problem.full_gradient(X[i])
+            grad_sq[key] = float(g @ g)
         d = X[i] - xbar
-        total += float(g @ g) + problem.L ** 2 * float(d @ d)
+        total += grad_sq[key] + problem.L ** 2 * float(d @ d)
     return total / X.shape[0]
 
 
@@ -116,7 +125,7 @@ class RunTrace:
 
     def to_csv(self, target) -> None:
         """Write the documented CSV schema; floats in round-trip repr form."""
-        own = isinstance(target, (str, bytes))
+        own = isinstance(target, (str, bytes, os.PathLike))
         f = open(target, "w") if own else target
         try:
             f.write(CSV_HEADER + "\n")

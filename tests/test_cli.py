@@ -199,6 +199,39 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_divergence_keeps_finished_jobs(tmp_path, capsys, workers):
+    sane = BASE_CONFIG.split("[gt-sarah]")[0] + "[dsgd]\nalpha = 0.1\nB = 2\nsteps = 30\n"
+    diverging = "\n[gt-sarah]\nalpha = 1e6\nB = 1\nq = 8\nS = 3\n"
+    alone, _ = write_config(tmp_path, sane, name="alone.ini", out=str(tmp_path / "alone"))
+    both, out = write_config(tmp_path, sane + diverging)
+    assert main(["run", "--config", alone]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--config", both, "--workers", workers]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: section [gt-sarah] replicate 0: ") and err.count("\n") == 1
+    assert ((tmp_path / "runs" / "dsgd_r0.csv").read_bytes()
+            == (tmp_path / "alone" / "dsgd_r0.csv").read_bytes())
+    partial = (tmp_path / "runs" / "gt-sarah_r0.csv").read_text().splitlines()
+    assert partial[0] == CSV_HEADER and len(partial) > 1
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("replicates", "0", False), ("replicates", "-1", True),
+    ("workers", "0", False), ("workers", "-3", True),
+], ids=["replicates=0", "--replicates=-1", "workers=0", "--workers=-3"])
+def test_run_replicates_or_workers_below_one_is_config_error(tmp_path, capsys, key, value, flag):
+    text = BASE_CONFIG if flag else BASE_CONFIG.replace("replicates = 1", f"{key} = {value}")
+    cfg, out = write_config(tmp_path, text)
+    for extra in ([], ["--dump-config"]):
+        argv = ["run", "--config", cfg, *extra] + ([f"--{key}", value] if flag else [])
+        assert main(argv) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: {key} must be at least 1, got {value}\n"
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
 def test_run_same_seed_byte_identical(tmp_path):
     cfg, _ = write_config(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -96,6 +96,17 @@ def test_parse_csv_gzip(tmp_path):
     assert np.array_equal(ds.features, [[1.5, 0.0]])
 
 
+@pytest.mark.parametrize("parse, text", [(parse_libsvm, "1 1:2.5\n-1 2:1.5\n"),
+                                         (parse_csv, "f1,f2,y\n2.5,0.0,1\n")],
+                         ids=["libsvm", "csv"])
+def test_parsers_record_full_path_of_path_like_source(tmp_path, parse, text):
+    path = tmp_path / "toy.txt"
+    path.write_text(text)
+    from_path, from_str = parse(path), parse(str(path))
+    assert from_path.source == from_str.source == str(path)
+    assert np.array_equal(from_path.features, from_str.features)
+
+
 # ---------------------------------------------------------------------------
 # label rules
 

@@ -10,6 +10,7 @@ from decenopt.data import synthesize
 from decenopt.engine import (CSV_HEADER, DivergenceError, def33_metric, def33_term,
                              outer_iteration_bound, run, stationary_gap)
 from decenopt.graph import build_topology, lazy_metropolis_weights
+from decenopt.objective import LogisticProblem
 
 
 def ring_mix(n):
@@ -122,6 +123,65 @@ def test_metrics_permutation_invariant():
     pprob = QuadraticProblem(prob.curvatures[perm], prob.centers[perm])
     assert stationary_gap(pprob, X[perm]) == pytest.approx(stationary_gap(prob, X), rel=1e-12)
     assert def33_term(pprob, X[perm]) == pytest.approx(def33_term(prob, X), rel=1e-12)
+
+
+def def33_per_row(problem, X):
+    """Reference: one full gradient per row, summed in row order."""
+    xbar = X.mean(axis=0)
+    total = 0.0
+    for i in range(X.shape[0]):
+        g = problem.full_gradient(X[i])
+        d = X[i] - xbar
+        total += float(g @ g) + problem.L ** 2 * float(d @ d)
+    return total / X.shape[0]
+
+
+class CountingProblem(LogisticProblem):
+    calls = 0
+
+    def full_gradient(self, x):
+        self.calls += 1
+        return super().full_gradient(x)
+
+
+def def33_states(p):
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=p)
+    pool = rng.normal(size=(3, p))
+    signed_zero = np.tile(x, (5, 1))
+    signed_zero[1, 0], signed_zero[3, 0] = 0.0, -0.0
+    return {"identical": np.tile(x, (5, 1)),
+            "repeated": pool[[0, 1, 0, 2, 1]],
+            "signed-zero": signed_zero,
+            "distinct": rng.normal(size=(5, p))}
+
+
+@pytest.mark.parametrize("p", [3, 10, 100, 128])
+def test_def33_term_bit_identical_to_per_row_loop(p):
+    prob = synthesize("heterogeneous", 5, 7, p, seed=p, family="logistic")
+    for name, X in def33_states(p).items():
+        assert def33_term(prob, X).hex() == def33_per_row(prob, X).hex(), name
+
+
+def test_def33_term_one_full_gradient_per_distinct_row():
+    data = synthesize("heterogeneous", 5, 7, 10, seed=19, family="logistic").dataset
+    prob = CountingProblem(data)
+    states = def33_states(10)
+    for name, calls in [("identical", 1), ("repeated", 3), ("signed-zero", 3), ("distinct", 5)]:
+        prob.calls = 0
+        def33_term(prob, states[name])
+        assert prob.calls == calls, name
+
+
+@pytest.mark.parametrize("algorithm", ["gt-sarah", "dsgt", "dsgd"])
+def test_run_with_recording_off_makes_three_full_gradients(algorithm):
+    # the j=0 def33 term at the common start, the j=0 record and the terminal record
+    prob = CountingProblem(synthesize("heterogeneous", 6, 5, 4, seed=20, family="logistic").dataset)
+    budget = dict(S=2) if algorithm == "gt-sarah" else dict(steps=9)
+    cfg = RunConfig(algorithm=algorithm, alpha=0.1, B=2, seed=13, x0=np.full(4, 0.3),
+                    record_every=10**9, def33_every=10**9, **budget)
+    run(prob, ring_mix(6), cfg)
+    assert prob.calls == 3
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +341,14 @@ def test_trace_csv_schema():
     # float cells round-trip exactly
     rec = tr.records[0]
     assert float(lines[1].split(",")[7]) == rec.stationary_gap
+
+
+def test_trace_to_csv_accepts_path_like_target(tmp_path):
+    prob = synthesize("heterogeneous", 2, 3, 2, seed=29)
+    tr = run(prob, ring_mix(2), RunConfig(algorithm="dsgd", alpha=0.05, steps=4, seed=11))
+    tr.to_csv(tmp_path / "path.csv")
+    tr.to_csv(str(tmp_path / "str.csv"))
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "str.csv").read_bytes()
 
 
 def test_def33_running_mean_monotone_info():
