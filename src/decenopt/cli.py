@@ -165,12 +165,10 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";", "#"))
     try:
-        if hasattr(path_or_file, "read"):
-            cp.read_file(path_or_file)
-        elif os.path.exists(path_or_file):
-            cp.read(path_or_file)
-        else:
-            raise ConfigError(f"config file not found: {path_or_file}")
+        with data._open_text(path_or_file) as f:
+            cp.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path_or_file}") from None
     except configparser.Error as exc:       # duplicate key, no section header, ...
         raise ConfigError(" ".join(str(exc).split())) from None
     for sec in ("topology", "data"):

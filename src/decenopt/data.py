@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ class RawDataset:
     features: np.ndarray
     labels: np.ndarray
     source: str | None = None
-    fmt: str | None = None
 
     @property
     def N(self) -> int:
@@ -38,19 +38,26 @@ class RawDataset:
         return self.features.shape[1]
 
 
-def _open_text(source, mode="r"):
-    if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    path = str(source)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t"), True
-    return open(path, mode), True
+@contextmanager
+def _open_text(target, mode="r"):
+    """The text file behind a path-or-file argument, for reading or writing.
+
+    An open file object is used as it is and left open. A str, bytes or
+    os.PathLike path is opened, as gzip text if it ends in ``.gz``, and
+    closed on exit.
+    """
+    if hasattr(target, "read") or hasattr(target, "write"):
+        yield target
+        return
+    path = os.fsdecode(target)
+    with gzip.open(path, mode + "t") if path.endswith(".gz") else open(path, mode) as f:
+        yield f
 
 
 def _source_name(source):
     """The path a parser read, in full, or the name of an open file object."""
     if isinstance(source, (str, bytes, os.PathLike)):
-        return str(source)
+        return os.fsdecode(source)
     return getattr(source, "name", None)
 
 
@@ -61,9 +68,8 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
     ValueError naming the offending line for malformed input; index 0 is
     rejected (the format is 1-based).
     """
-    f, own = _open_text(source)
     rows, labels = [], []
-    try:
+    with _open_text(source) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -84,9 +90,6 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
                     raise ValueError(f"line {lineno}: feature index {idx} (indices are 1-based)")
                 entries[idx] = val
             rows.append(entries)
-    finally:
-        if own:
-            f.close()
     max_idx = max((max(r) for r in rows if r), default=0)
     dim = p if p is not None else max_idx
     if max_idx > dim:
@@ -96,31 +99,23 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
         for idx, val in entries.items():
             X[k, idx - 1] = val
     return RawDataset(features=X, labels=np.asarray(labels, dtype=float),
-                      source=_source_name(source), fmt="libsvm")
+                      source=_source_name(source))
 
 
 def serialize_libsvm(dataset: RawDataset, target) -> None:
     """Write a RawDataset back out in LIBSVM text form (zeros omitted)."""
-    f, own = _open_text(target, mode="w")
-    try:
+    with _open_text(target, "w") as f:
         for x, y in zip(dataset.features, dataset.labels):
             toks = [repr(float(y))]
             for idx in np.nonzero(x)[0]:
                 toks.append(f"{idx + 1}:{float(x[idx])!r}")
             f.write(" ".join(toks) + "\n")
-    finally:
-        if own:
-            f.close()
 
 
 def parse_csv(source) -> RawDataset:
     """Parse CSV with a header row; the last column is the label."""
-    f, own = _open_text(source)
-    try:
+    with _open_text(source) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    finally:
-        if own:
-            f.close()
     if len(lines) < 2:
         raise ValueError("csv input needs a header row and at least one sample")
     width = len(lines[0].split(","))
@@ -135,8 +130,7 @@ def parse_csv(source) -> RawDataset:
             raise ValueError(f"line {lineno}: non-numeric value") from None
         X.append(vals[:-1])
         y.append(vals[-1])
-    return RawDataset(features=np.asarray(X), labels=np.asarray(y), source=_source_name(source),
-                      fmt="csv")
+    return RawDataset(features=np.asarray(X), labels=np.asarray(y), source=_source_name(source))
 
 
 # ---------------------------------------------------------------------------

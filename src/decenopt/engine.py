@@ -13,7 +13,6 @@ cycle); dsgd/dsgt records carry s = 0 and t = step index.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -22,6 +21,7 @@ import numpy as np
 from .algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_step,
                          gt_sarah_cycle_handoff, gt_sarah_inner_step,
                          gt_sarah_outer_init, initial_state, max_stepsize)
+from .data import _open_text
 from .graph import spectral_quantities, validate_mixing
 from .streams import IndexStreams, node_streams
 
@@ -75,14 +75,6 @@ def def33_term(problem, X: np.ndarray) -> float:
     return total / X.shape[0]
 
 
-def def33_metric(problem, states) -> float:
-    """Mean of def33_term over a trajectory of stacked states."""
-    vals = [def33_term(problem, X) for X in states]
-    if not vals:
-        raise ValueError("def33_metric needs at least one state")
-    return float(np.mean(vals))
-
-
 def outer_iteration_bound(f0: float, f_star: float, grad_sq_mean: float,
                           alpha: float, q: int, L: float, epsilon: float) -> int:
     """Outer cycles sufficient to push the running def33 mean below epsilon^2.
@@ -125,9 +117,7 @@ class RunTrace:
 
     def to_csv(self, target) -> None:
         """Write the documented CSV schema; floats in round-trip repr form."""
-        own = isinstance(target, (str, bytes, os.PathLike))
-        f = open(target, "w") if own else target
-        try:
+        with _open_text(target, "w") as f:
             f.write(CSV_HEADER + "\n")
             for r in self.records:
                 f.write(",".join([
@@ -136,9 +126,6 @@ class RunTrace:
                     repr(r.stationary_gap), repr(r.consensus_error),
                     repr(r.objective), repr(r.def33_mean),
                 ]) + "\n")
-        finally:
-            if own:
-                f.close()
 
 
 class _Recorder:

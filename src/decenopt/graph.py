@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _open_text
+
 TOPOLOGY_KINDS = ("complete", "ring", "path", "grid", "exponential", "custom")
 
 
@@ -256,26 +258,16 @@ def validate_mixing(entries: np.ndarray, tol: float = 1e-12) -> MixingReport:
 
 def write_edge_list(topo: Topology, target) -> None:
     """Write a topology as text: first line n, then one 'i j' line per edge."""
-    own = isinstance(target, (str, bytes))
-    f = open(target, "w") if own else target
-    try:
+    with _open_text(target, "w") as f:
         f.write(f"{topo.n}\n")
         for i, j in sorted(topo.edges):
             f.write(f"{i} {j}\n")
-    finally:
-        if own:
-            f.close()
 
 
 def read_edge_list(source) -> Topology:
     """Parse the edge-list text format back into a custom Topology."""
-    own = isinstance(source, (str, bytes))
-    f = open(source) if own else source
-    try:
+    with _open_text(source) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    finally:
-        if own:
-            f.close()
     if not lines:
         raise ValueError("empty edge-list input")
     try:
@@ -294,11 +286,6 @@ def read_edge_list(source) -> Topology:
 def write_weights_csv(entries: np.ndarray, target) -> None:
     """Write a mixing matrix as n rows of comma-separated reals."""
     w = np.asarray(entries, dtype=float)
-    own = isinstance(target, (str, bytes))
-    f = open(target, "w") if own else target
-    try:
+    with _open_text(target, "w") as f:
         for row in w:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if own:
-            f.close()

@@ -67,11 +67,6 @@ class FiniteSumProblem:
         return float(np.mean(np.sum((g - gbar) ** 2, axis=1)))
 
 
-def estimate_smoothness(problem: FiniteSumProblem) -> float:
-    """Mean-squared smoothness modulus carried by the problem."""
-    return problem.L
-
-
 # ---------------------------------------------------------------------------
 # non-convex logistic regression
 
@@ -184,7 +179,7 @@ class LogisticProblem(FiniteSumProblem):
         margins = np.einsum("imp,ip->im", d.features, X) * d.labels
         coeff = -d.labels * sigmoid(-margins)
         loss = np.einsum("im,imp->ip", coeff, d.features) / self.m
-        return loss + 2.0 * d.reg * X / (1.0 + X * X) ** 2
+        return loss + self._reg_gradient(X)
 
     def minibatch_gradients(self, X, indices):
         d = self.dataset
@@ -194,7 +189,7 @@ class LogisticProblem(FiniteSumProblem):
         margins = np.einsum("ibp,...ip->...ib", theta, X) * xi
         coeff = -xi * sigmoid(-margins)
         loss = np.einsum("...ib,ibp->...ip", coeff, theta) / indices.shape[1]
-        return loss + 2.0 * d.reg * X / (1.0 + X * X) ** 2
+        return loss + self._reg_gradient(X)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_run_end_to_end(tmp_path, capsys):
 
 def test_run_missing_config(capsys):
     assert main(["run", "--config", "/nonexistent/exp.ini"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: config file not found: /nonexistent/exp.ini\n"
 
 
 def test_run_bad_section(tmp_path, capsys):
@@ -191,6 +191,12 @@ def test_config_syntax_error_is_config_error(tmp_path, capsys, text):
     assert printed.err.startswith("config error: ") and printed.err.count("\n") == 1
     assert printed.out == ""
     assert not os.path.exists(out)
+
+
+def test_config_syntax_error_names_the_file(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, BASE_CONFIG.replace("B = 2", "B = 2\nB = 4"))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert f"While reading from {cfg!r}" in capsys.readouterr().err
 
 
 def test_run_divergence_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gzip
 import io
+import os
 
 import numpy as np
 import pytest
@@ -102,9 +103,10 @@ def test_parse_csv_gzip(tmp_path):
 def test_parsers_record_full_path_of_path_like_source(tmp_path, parse, text):
     path = tmp_path / "toy.txt"
     path.write_text(text)
-    from_path, from_str = parse(path), parse(str(path))
-    assert from_path.source == from_str.source == str(path)
+    from_path, from_str, from_bytes = parse(path), parse(str(path)), parse(os.fsencode(path))
+    assert from_path.source == from_str.source == from_bytes.source == str(path)
     assert np.array_equal(from_path.features, from_str.features)
+    assert np.array_equal(from_bytes.features, from_str.features)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gzip
 import io
 import math
 import re
@@ -7,8 +8,8 @@ import pytest
 
 from decenopt.algorithms import RunConfig, max_stepsize
 from decenopt.data import synthesize
-from decenopt.engine import (CSV_HEADER, DivergenceError, def33_metric, def33_term,
-                             outer_iteration_bound, run, stationary_gap)
+from decenopt.engine import (CSV_HEADER, DivergenceError, def33_term, outer_iteration_bound, run,
+                             stationary_gap)
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.objective import LogisticProblem
 
@@ -86,14 +87,14 @@ def test_stationary_gap_two_node_formula():
 def test_def33_zero_at_consensus_stationary_point():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=12)
     X = np.tile(prob.minimizer(), (3, 1))
-    assert def33_metric(prob, [X, X]) <= 1e-24
+    assert def33_term(prob, X) <= 1e-24
 
 
 def test_def33_single_iterate_single_node():
     prob = synthesize("heterogeneous", 1, 5, 3, seed=13)
     x = np.random.default_rng(14).normal(size=3)
     g = prob.full_gradient(x)
-    assert def33_metric(prob, [x[None, :]]) == pytest.approx(g @ g, rel=1e-12)
+    assert def33_term(prob, x[None, :]) == pytest.approx(g @ g, rel=1e-12)
 
 
 def test_def33_two_iterate_mean_hand_computed():
@@ -109,7 +110,8 @@ def test_def33_two_iterate_mean_hand_computed():
             total += g @ g + prob.L ** 2 * np.sum((X[i] - xbar) ** 2)
         return total / 2
 
-    assert def33_metric(prob, [X1, X2]) == pytest.approx((by_hand(X1) + by_hand(X2)) / 2, rel=1e-12)
+    two_iterate_mean = (def33_term(prob, X1) + def33_term(prob, X2)) / 2
+    assert two_iterate_mean == pytest.approx((by_hand(X1) + by_hand(X2)) / 2, rel=1e-12)
     assert def33_term(prob, X1) == pytest.approx(by_hand(X1), rel=1e-12)
 
 
@@ -348,7 +350,10 @@ def test_trace_to_csv_accepts_path_like_target(tmp_path):
     tr = run(prob, ring_mix(2), RunConfig(algorithm="dsgd", alpha=0.05, steps=4, seed=11))
     tr.to_csv(tmp_path / "path.csv")
     tr.to_csv(str(tmp_path / "str.csv"))
+    tr.to_csv(tmp_path / "gz.csv.gz")
     assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "str.csv").read_bytes()
+    with gzip.open(tmp_path / "gz.csv.gz", "rt") as f:
+        assert f.read() == (tmp_path / "path.csv").read_text()
 
 
 def test_def33_running_mean_monotone_info():

@@ -1,4 +1,6 @@
+import gzip
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,13 +186,24 @@ def test_edge_list_roundtrip():
     assert back.edges == t.edges
 
 
+def path_targets(tmp_path, name):
+    """The same target as a str, a pathlib.Path and a gzip path."""
+    return [str(tmp_path / name), tmp_path / f"p-{name}", tmp_path / f"{name}.gz"]
+
+
+def read_text(path):
+    path = Path(path)
+    with gzip.open(path, "rt") if path.suffix == ".gz" else open(path) as f:
+        return f.read()
+
+
 def test_edge_list_file_roundtrip(tmp_path):
     t = build_topology("ring", 5)
-    path = tmp_path / "ring.edges"
-    write_edge_list(t, str(path))
-    text = path.read_text().splitlines()
-    assert text[0] == "5"
-    assert read_edge_list(str(path)).edges == t.edges
+    for path in path_targets(tmp_path, "ring.edges"):
+        write_edge_list(t, path)
+        text = read_text(path).splitlines()
+        assert text[0] == "5"
+        assert read_edge_list(path).edges == t.edges
 
 
 def test_edge_list_parse_errors():
@@ -204,10 +217,10 @@ def test_edge_list_parse_errors():
 
 def test_weights_csv_roundtrip(tmp_path):
     w = lazy_metropolis_weights(build_topology("ring", 4)).entries
-    path = tmp_path / "w.csv"
-    write_weights_csv(w, str(path))
-    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
-    assert np.array_equal(np.array(rows), w)
+    for path in path_targets(tmp_path, "w.csv"):
+        write_weights_csv(w, path)
+        rows = [[float(v) for v in line.split(",")] for line in read_text(path).splitlines()]
+        assert np.array_equal(np.array(rows), w)
 
 
 def test_topology_validates_on_construction():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from decenopt.data import synthesize
-from decenopt.objective import (LogisticDataset, LogisticProblem, QuadraticProblem,
-                                estimate_smoothness, sigmoid, softplus)
+from decenopt.objective import (LogisticDataset, LogisticProblem, QuadraticProblem, sigmoid,
+                                softplus)
 from helpers import fd_gradient, mean_component_gradients
 
 
@@ -213,10 +213,10 @@ def test_minibatch_gradients_stacked_points_bitwise(make, n, m, p, B):
 # smoothness
 
 def test_smoothness_constants():
-    assert estimate_smoothness(random_logistic(1, 2, 2, seed=16, reg=0.0)) == 0.25
-    assert estimate_smoothness(random_logistic(1, 2, 2, seed=16, reg=0.001)) == pytest.approx(0.252)
+    assert random_logistic(1, 2, 2, seed=16, reg=0.0).L == 0.25
+    assert random_logistic(1, 2, 2, seed=16, reg=0.001).L == pytest.approx(0.252)
     quad = QuadraticProblem(np.full((2, 3, 2), 0.5), np.zeros((2, 3, 2)))
-    assert estimate_smoothness(quad) == 0.5
+    assert quad.L == 0.5
 
 
 def test_smoothness_override():
