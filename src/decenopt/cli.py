@@ -103,7 +103,7 @@ _ALGORITHM_KEYS = {"alpha": (auto_or_float, None), "B": (int, None), "q": (int, 
 class ExperimentConfig:
     """Parsed experiment: topology + data + one RunConfig per algorithm."""
 
-    topology_spec: dict         # [topology] keys; a custom graph's n comes from its file
+    topology_spec: dict         # [topology] keys; a custom graph ("graph") and its n come from its file
     data_spec: dict             # [data] keys that apply to its source
     algorithms: list            # (label, RunConfig) pairs
     seed: int
@@ -120,7 +120,7 @@ class ExperimentConfig:
     def topology(self) -> graph.Topology:
         t = self.topology_spec
         if t["kind"] == "custom":
-            return graph.read_edge_list(t["path"])
+            return t["graph"]
         return graph.build_topology(t["kind"], t["n"], rows=t["rows"], cols=t["cols"])
 
     def problem(self):
@@ -184,7 +184,8 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
             raise ConfigError("[topology] kind=custom needs path")
         if not os.path.exists(topo["path"]):
             raise ConfigError(f"topology edge list not found: {topo['path']}")
-        topo["n"] = graph.read_edge_list(topo["path"]).n
+        topo["graph"] = graph.read_edge_list(topo["path"])
+        topo["n"] = topo["graph"].n
     elif topo["n"] is None:
         raise ConfigError("[topology] needs n")
 
@@ -223,7 +224,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical INI text that re-parses to an equivalent experiment."""
     topo = dict(cfg.topology_spec)
     if topo["kind"] == "custom":
-        topo["n"] = None        # read from the edge list on parse
+        topo["n"] = topo["graph"] = None        # read from the edge list on parse
     sections = [("experiment", {key: getattr(cfg, key) for key in _SECTIONS["experiment"]}),
                 ("topology", topo), ("data", cfg.data_spec)]
     sections += [(label, {key: getattr(rc, key) for key in _ALGORITHM_KEYS})

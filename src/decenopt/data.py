@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import os
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -68,7 +69,8 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
     ValueError naming the offending line for malformed input; index 0 is
     rejected (the format is 1-based).
     """
-    rows, labels = [], []
+    # 16 B per nonzero (index, value) while reading, then one dense fill
+    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
     with _open_text(source) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -79,7 +81,6 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
                 labels.append(float(parts[0]))
             except ValueError:
                 raise ValueError(f"line {lineno}: label {parts[0]!r} is not numeric") from None
-            entries = {}
             for tok in parts[1:]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
@@ -88,18 +89,21 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
                     raise ValueError(f"line {lineno}: malformed feature {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"line {lineno}: feature index {idx} (indices are 1-based)")
-                entries[idx] = val
-            rows.append(entries)
-    max_idx = max((max(r) for r in rows if r), default=0)
+                try:
+                    cols.append(idx)
+                except OverflowError:
+                    raise ValueError(f"line {lineno}: feature index {idx} is too large") from None
+                vals.append(val)
+            counts.append(len(parts) - 1)
+    cols = np.frombuffer(cols, dtype=np.int64)
+    max_idx = int(cols.max(initial=0))
     dim = p if p is not None else max_idx
     if max_idx > dim:
         raise ValueError(f"feature index {max_idx} exceeds declared dimension {dim}")
-    X = np.zeros((len(rows), dim))
-    for k, entries in enumerate(rows):
-        for idx, val in entries.items():
-            X[k, idx - 1] = val
-    return RawDataset(features=X, labels=np.asarray(labels, dtype=float),
-                      source=_source_name(source))
+    X = np.zeros((len(labels), dim))
+    # assignment runs in order, so a line's last value for a repeated index wins
+    X[np.repeat(np.arange(len(labels)), counts), cols - 1] = np.frombuffer(vals)
+    return RawDataset(features=X, labels=np.frombuffer(labels), source=_source_name(source))
 
 
 def serialize_libsvm(dataset: RawDataset, target) -> None:
@@ -114,23 +118,24 @@ def serialize_libsvm(dataset: RawDataset, target) -> None:
 
 def parse_csv(source) -> RawDataset:
     """Parse CSV with a header row; the last column is the label."""
+    feats, labels = array("d"), array("d")
     with _open_text(source) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if len(lines) < 2:
+        lines = filter(None, (ln.strip() for ln in f))
+        width = len(next(lines, "").split(","))
+        for lineno, ln in enumerate(lines, start=2):
+            cells = ln.split(",")
+            if len(cells) != width:
+                raise ValueError(f"line {lineno}: expected {width} columns, got {len(cells)}")
+            try:
+                vals = [float(c) for c in cells]
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric value") from None
+            feats.extend(vals[:-1])
+            labels.append(vals[-1])
+    if not labels:
         raise ValueError("csv input needs a header row and at least one sample")
-    width = len(lines[0].split(","))
-    X, y = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise ValueError(f"line {lineno}: expected {width} columns, got {len(cells)}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric value") from None
-        X.append(vals[:-1])
-        y.append(vals[-1])
-    return RawDataset(features=np.asarray(X), labels=np.asarray(y), source=_source_name(source))
+    return RawDataset(features=np.frombuffer(feats).reshape(len(labels), width - 1),
+                      labels=np.frombuffer(labels), source=_source_name(source))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +201,8 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
             raise ValueError(f"label rule must map to +1, -1 or None, got {r!r}")
         mapped[k] = r
     keep = mapped != 0
-    norms = np.linalg.norm(raw.features, axis=1)
-    zero = keep & (norms == 0)
+    # a sum of squares is 0 exactly when the norm is, and einsum makes no N x p temporary
+    zero = keep & (np.einsum("kd,kd->k", raw.features, raw.features) == 0)
     if zero.any():
         warnings.warn(f"dropping {int(zero.sum())} zero feature vectors "
                       "(cannot be unit-normalized)", stacklevel=2)
@@ -212,8 +217,7 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
         raise ValueError(f"{order.size} usable samples cannot cover {n} nodes")
     surplus = order.size - n * m
     assign = order[:n * m].reshape(n, m)
-    feats = raw.features[assign]
-    feats = feats / np.linalg.norm(feats, axis=2, keepdims=True)
+    feats = _normalize_rows(raw.features[assign])
     labels = mapped[assign].astype(float)
     if (labels == 1).all() or (labels == -1).all():
         warnings.warn("label rule left a single class; the classification task is degenerate",
@@ -221,6 +225,17 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     dataset = LogisticDataset(features=feats, labels=labels, reg=reg)
     return dataset, Partition(node_indices=assign, dropped_surplus=int(surplus),
                               dropped_zero=int(zero.sum()))
+
+
+def _normalize_rows(feats):
+    """Scale each feature vector of an (n, m, p) array to unit length, in place.
+
+    One node block at a time, so no temporary is larger than (m, p); a
+    row's norm is the same float over a block as over the whole array.
+    """
+    for block in feats:
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,8 @@ def synthesize(kind: str, n: int, m: int, p: int, seed: int,
             return QuadraticProblem(np.repeat(a, n, axis=0), np.repeat(c, n, axis=0))
         a = rng.uniform(0.5, 1.5, size=(n, m, p))
         node_shift = h * rng.normal(0.0, 0.3, size=(n, 1, p))
-        c = node_shift + rng.normal(0.0, 0.1, size=(n, m, p))
+        c = rng.normal(0.0, 0.1, size=(n, m, p))
+        c += node_shift
         return QuadraticProblem(a, c)
 
     if family == "logistic":
@@ -260,16 +276,16 @@ def synthesize(kind: str, n: int, m: int, p: int, seed: int,
             theta = rng.normal(size=(1, m, p))
             w = rng.normal(size=p)
             raw_labels = np.sign(np.einsum("imp,p->im", theta, w))
-            theta = np.repeat(theta, n, axis=0)
+            theta = np.repeat(_normalize_rows(theta), n, axis=0)
             labels = np.repeat(raw_labels, n, axis=0)
         else:
             node_mean = h * rng.normal(size=(n, 1, p))
-            theta = node_mean + rng.normal(size=(n, m, p))
+            theta = rng.normal(size=(n, m, p))
+            theta += node_mean
             w = rng.normal(size=(n, p)) + h * rng.normal(size=(n, p))
-            raw_labels = np.sign(np.einsum("imp,ip->im", theta, w))
-            labels = raw_labels
+            labels = np.sign(np.einsum("imp,ip->im", theta, w))
+            _normalize_rows(theta)
         labels = np.where(labels == 0, 1.0, labels)
-        theta = theta / np.linalg.norm(theta, axis=2, keepdims=True)
         return LogisticProblem(LogisticDataset(features=theta, labels=labels, reg=reg))
 
     raise ValueError(f"unknown family {family!r}")

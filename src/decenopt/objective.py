@@ -90,8 +90,8 @@ class LogisticDataset:
             raise ValueError(f"features must have shape (n, m, p), got {f.shape}")
         if y.shape != f.shape[:2]:
             raise ValueError(f"labels shape {y.shape} does not match features {f.shape[:2]}")
-        norms = np.linalg.norm(f, axis=2)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        # one node block at a time: no temporary as large as the features
+        if any(np.abs(np.linalg.norm(block, axis=1) - 1.0).max() > 1e-9 for block in f):
             raise ValueError("feature vectors must be unit-norm")
         if not np.isin(y, (-1.0, 1.0)).all():
             raise ValueError("labels must be exactly -1 or +1")

@@ -9,6 +9,7 @@ import pytest
 
 from decenopt.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, dump_config, main,
                           parse_experiment)
+from decenopt import graph
 from decenopt.engine import CSV_HEADER
 from decenopt.graph import build_topology, write_edge_list
 
@@ -291,6 +292,24 @@ def test_dump_config_roundtrip(tmp_path, capsys):
     assert reparsed.seed == original.seed
     assert reparsed.topology_spec["kind"] == original.topology_spec["kind"]
     assert [rc for _, rc in reparsed.algorithms] == [rc for _, rc in original.algorithms]
+
+
+def test_run_reads_custom_edge_list_once(tmp_path, monkeypatch, capsys):
+    # n and the graph come from one read, so they cannot disagree
+    edges = tmp_path / "ring4.edges"
+    write_edge_list(build_topology("ring", 4), str(edges))
+    cfg, _ = write_config(tmp_path, BASE_CONFIG.replace("kind = ring\nn = 4",
+                                                        f"kind = custom\npath = {edges}"))
+    calls = []
+    read = graph.read_edge_list
+    monkeypatch.setattr(graph, "read_edge_list", lambda path: calls.append(path) or read(path))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    assert calls == [str(edges)]
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--dump-config"]) == EXIT_OK
+    dumped = configparser.ConfigParser()
+    dumped.read_string(capsys.readouterr().out)
+    assert dict(dumped["topology"]) == {"kind": "custom", "path": str(edges)}
 
 
 def test_seed_flag_reseeds_streams_not_data(tmp_path, capsys):

@@ -47,6 +47,24 @@ def test_parse_libsvm_errors_name_line():
         parse_libsvm(io.StringIO("1 1:1\n-1 2:2\n1 a:b\n"))
     with pytest.raises(ValueError):
         parse_libsvm(io.StringIO("1 7:1\n"), p=3)  # index beyond declared dimension
+    with pytest.raises(ValueError, match="^line 2: feature index 9{20} is too large$"):
+        parse_libsvm(io.StringIO("1 1:1\n1 " + "9" * 20 + ":1\n"))
+
+
+def test_parse_libsvm_duplicate_index_last_value_wins():
+    ds = parse_libsvm(io.StringIO("1 2:1.5 1:4 2:-3 2:7.25\n-1 2:9 1:1\n"))
+    assert np.array_equal(ds.features, [[4.0, 7.25], [1.0, 9.0]])
+
+
+def test_parse_libsvm_skips_comments_and_blanks_but_counts_their_lines():
+    text = "# header comment\n\n1 1:1\n   \n# another\n-1 2:2\n"
+    ds = parse_libsvm(io.StringIO(text))
+    assert np.array_equal(ds.features, [[1.0, 0.0], [0.0, 2.0]])
+    assert list(ds.labels) == [1.0, -1.0]
+    with pytest.raises(ValueError, match="^line 7: malformed feature 'x'$"):
+        parse_libsvm(io.StringIO(text + "1 x\n"))
+    with pytest.raises(ValueError, match="^line 5: label 'y' is not numeric$"):
+        parse_libsvm(io.StringIO("# c\n\n1 1:1\n\ny 1:2\n"))
 
 
 def test_libsvm_roundtrip():

@@ -293,6 +293,12 @@ def test_dataset_rejects_bad_labels():
 def test_dataset_rejects_non_unit_features():
     with pytest.raises(ValueError):
         LogisticDataset(features=np.full((1, 1, 2), 1.0), labels=np.array([[1.0]]))
+    # the check covers every node block, the last one too
+    theta = synthesize("heterogeneous", 3, 4, 5, seed=0, family="logistic").dataset.features.copy()
+    LogisticDataset(features=theta, labels=np.ones((3, 4)))
+    theta[-1, -1] *= 1.001
+    with pytest.raises(ValueError, match="feature vectors must be unit-norm"):
+        LogisticDataset(features=theta, labels=np.ones((3, 4)))
 
 
 def test_dataset_rejects_negative_reg():

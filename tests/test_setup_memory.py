@@ -1,0 +1,106 @@
+"""Set-up builds one copy of the features, with the same bytes as before.
+
+The hashes pin ``features.tobytes() + labels.tobytes()`` (curvatures and
+centers for quadratics) as the straightforward out-of-place code produced
+them, so an in-place rewrite of synthesize, parse_libsvm or prepare that
+moves one bit fails here. The memory bounds use tracemalloc, to which
+numpy reports every array buffer: each is the traced peak of one call over
+the bytes of the features it returns, free of allocator and host noise.
+"""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from decenopt.data import RawDataset, parse_libsvm, prepare, serialize_libsvm, synthesize
+
+# two classes, one zero row (line 5), one duplicate index (line 2: 3:2.0 wins)
+FIXED_LIBSVM = ("# two classes, one zero row, one duplicate index\n"
+                "1 1:0.5 3:-1.25 3:2.0\n"
+                "-1 2:1.5 4:0.25\n"
+                "\n"
+                "1\n"
+                "-1 1:-0.75 2:0.5 5:3.0\n"
+                "1 4:1.0 1:2.0\n"
+                "-1 3:0.125 5:-0.5\n"
+                "1 2:-2.0 3:1.0\n")
+
+
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("family, kind, digest", [
+    ("logistic", "homogeneous", "4bb23509eeb351af52949e65a2ea0917fa7a4bdda2122e3ce56a80ddef110c47"),
+    ("logistic", "heterogeneous", "c81cd2589d8cfc5010bba373b68ed3b946b69dd724c318c2faea6552c125194b"),
+    ("quadratic", "homogeneous", "8ead4f0019070674538aa905c9437b39ab1aeb1addc1be4c40cfe4ed4973661e"),
+    ("quadratic", "heterogeneous", "77e1139da290a1514bdaf2618c93b3afa1f5a098f83972d1b5869678ead82fcf"),
+])
+def test_synthesize_bytes_pinned(family, kind, digest):
+    problem = synthesize(kind, 4, 50, 40, seed=11, family=family)
+    if family == "logistic":
+        arrays = problem.dataset.features, problem.dataset.labels
+    else:
+        arrays = problem.curvatures, problem.centers
+    assert sha256(*arrays) == digest
+
+
+def test_parse_and_prepare_bytes_pinned(tmp_path):
+    path = tmp_path / "fixed.libsvm"
+    path.write_text(FIXED_LIBSVM)
+    raw = parse_libsvm(path)
+    assert raw.features.shape == (7, 5)
+    assert sha256(raw.features, raw.labels) == \
+        "9c31f3c039caeb4ec66b688526ad07a72e5a54ce2e7f7d356461a2b26d77639e"
+    with pytest.warns(UserWarning, match="dropping 1 zero feature vectors"):
+        dataset, part = prepare(raw, 2, seed=5)
+    assert (dataset.features.shape, part.dropped_zero) == ((2, 3, 5), 1)
+    assert sha256(dataset.features, dataset.labels) == \
+        "f59518089b87b5f8a82328aa13dde0900392c16e8de2a3592d33905254ad70c3"
+
+
+def traced_peak(build):
+    """(result of build(), peak bytes traced while it ran).
+
+    build runs once untraced first, so lazy imports and first-call caches
+    are not counted.
+    """
+    build()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, bound", [("heterogeneous", 1.6), ("homogeneous", 1.3)])
+def test_synthesize_peak_memory(kind, bound):
+    problem, peak = traced_peak(lambda: synthesize(kind, 8, 500, 64, seed=0, family="logistic"))
+    ratio = peak / problem.dataset.features.nbytes
+    assert ratio <= bound
+
+
+def raw_set(N=4000, p=50, density=0.3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((N, p)) < density, rng.normal(size=(N, p)), 0.0)
+    return RawDataset(features=X, labels=rng.choice([-1.0, 1.0], size=N))
+
+
+def test_prepare_peak_memory():
+    raw = raw_set()
+    (dataset, _), peak = traced_peak(lambda: prepare(raw, 8, seed=0))
+    ratio = peak / dataset.features.nbytes
+    assert ratio <= 1.3
+
+
+def test_parse_libsvm_peak_memory(tmp_path):
+    path = tmp_path / "raw.libsvm"
+    serialize_libsvm(raw_set(), path)       # a path: a StringIO would hold the text too
+    raw, peak = traced_peak(lambda: parse_libsvm(path))
+    assert raw.features.shape == (4000, 50)
+    ratio = peak / raw.features.nbytes
+    assert ratio <= 2.5
