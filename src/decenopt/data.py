@@ -120,9 +120,10 @@ def parse_csv(source) -> RawDataset:
     """Parse CSV with a header row; the last column is the label."""
     feats, labels = array("d"), array("d")
     with _open_text(source) as f:
-        lines = filter(None, (ln.strip() for ln in f))
-        width = len(next(lines, "").split(","))
-        for lineno, ln in enumerate(lines, start=2):
+        # blank lines are skipped but counted, as in parse_libsvm
+        lines = ((k, ln) for k, ln in enumerate((ln.strip() for ln in f), start=1) if ln)
+        width = len(next(lines, (0, ""))[1].split(","))
+        for lineno, ln in lines:
             cells = ln.split(",")
             if len(cells) != width:
                 raise ValueError(f"line {lineno}: expected {width} columns, got {len(cells)}")

@@ -58,19 +58,21 @@ def stationary_gap(problem, X: np.ndarray) -> float:
 def def33_term(problem, X: np.ndarray) -> float:
     """Per-iterate squared stationarity: (1/n) sum_i ||grad F(x_i)||^2 + L^2 ||x_i - xbar||^2.
 
-    Rows equal byte for byte share one full gradient, so a consensus state
-    (every run's start) costs one full pass, not n.
+    Rows equal byte for byte share one full gradient, and the distinct rows
+    go to ``full_gradient`` as one stacked call, so a consensus state (every
+    run's start) costs one full pass, not n. The sum runs in node order.
     """
     X = np.asarray(X, dtype=float)
     xbar = X.mean(axis=0)
-    grad_sq = {}
+    keys = [x.tobytes() for x in X]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    G = problem.full_gradient(X[list(first.values())])
+    grad_sq = {key: float(g @ g) for key, g in zip(first, G)}
     total = 0.0
-    for i in range(X.shape[0]):
-        key = X[i].tobytes()
-        if key not in grad_sq:
-            g = problem.full_gradient(X[i])
-            grad_sq[key] = float(g @ g)
-        d = X[i] - xbar
+    for key, x in zip(keys, X):
+        d = x - xbar
         total += grad_sq[key] + problem.L ** 2 * float(d @ d)
     return total / X.shape[0]
 

@@ -21,11 +21,12 @@ def softplus(z):
 
 
 def sigmoid(z):
-    """1 / (1 + e^{-z}) evaluated without overflow for any finite z."""
+    """1 / (1 + e^{-z}) without overflow for any finite z, and branch-free:
+    with e = e^{-|z|}, 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    """
     z = np.asarray(z, dtype=float)
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 class FiniteSumProblem:
@@ -39,7 +40,8 @@ class FiniteSumProblem:
     X[i]), ``minibatch_gradients(X, indices)`` (row i: mean of node i's
     component gradients at X[i] over the B draws indices[i], which may
     repeat; X may also stack k points as (k, n, p), giving (k, n, p) from
-    one gather), ``full_gradient(x)`` and ``full_value(x)``.
+    one gather), ``full_gradient(x)`` (x may also stack r points as (r, p),
+    each row equal to its own call) and ``full_value(x)``.
     """
 
     n: int
@@ -167,11 +169,20 @@ class LogisticProblem(FiniteSumProblem):
         return float(np.mean(softplus(-margins))) + self._reg_value(x)
 
     def full_gradient(self, x):
+        # node-major, about n*m margins at a time (all nodes at one point, one node
+        # at n points): the gemvs of features @ x, one einsum summing in (i, m) order
         d = self.dataset
         x = np.asarray(x, dtype=float)
-        margins = (d.features @ x) * d.labels
-        coeff = -d.labels * sigmoid(-margins)
-        return np.einsum("im,imp->p", coeff, d.features) / (self.n * self.m) + self._reg_gradient(x)
+        coeff = np.empty((self.n,) + x.shape[:-1] + (self.m,))
+        step = max(1, self.n * self.p // x.size)
+        axes = tuple(range(1, x.ndim))
+        for a in range(0, self.n, step):
+            xi = np.expand_dims(d.labels[a:a + step], axes)
+            theta = np.expand_dims(d.features[a:a + step], axes)
+            margins = np.matmul(theta, x[..., None])[..., 0] * xi
+            np.multiply(-xi, sigmoid(-margins), out=coeff[a:a + step])
+        loss = np.einsum("i...m,imp->...p", coeff, d.features) / (self.n * self.m)
+        return loss + self._reg_gradient(x)
 
     def batch_gradients(self, X):
         d = self.dataset

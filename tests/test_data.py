@@ -107,6 +107,15 @@ def test_parse_csv_errors():
         parse_csv(io.StringIO("a,b\n"))
 
 
+def test_parse_csv_errors_count_blank_lines():
+    with pytest.raises(ValueError, match="^line 4: expected 2 columns, got 1$"):
+        parse_csv(io.StringIO("a,b\n1,2\n\n3\n"))
+    with pytest.raises(ValueError, match="^line 5: non-numeric value$"):
+        parse_csv(io.StringIO("\n\na,b\n1,2\nx,1\n"))
+    ds = parse_csv(io.StringIO("\na,b\n\n1,2\n\n3,4\n"))
+    assert np.array_equal(ds.features, [[1.0], [3.0]]) and list(ds.labels) == [2.0, 4.0]
+
+
 def test_parse_csv_gzip(tmp_path):
     path = tmp_path / "toy.csv.gz"
     with gzip.open(path, "wt") as f:

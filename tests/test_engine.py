@@ -139,10 +139,15 @@ def def33_per_row(problem, X):
 
 
 class CountingProblem(LogisticProblem):
-    calls = 0
+    """Counts full_gradient calls and keeps every point they evaluated, in order."""
+
+    def __init__(self, dataset):
+        super().__init__(dataset)
+        self.calls, self.points = 0, []
 
     def full_gradient(self, x):
         self.calls += 1
+        self.points.extend(np.atleast_2d(x))
         return super().full_gradient(x)
 
 
@@ -169,10 +174,12 @@ def test_def33_term_one_full_gradient_per_distinct_row():
     data = synthesize("heterogeneous", 5, 7, 10, seed=19, family="logistic").dataset
     prob = CountingProblem(data)
     states = def33_states(10)
-    for name, calls in [("identical", 1), ("repeated", 3), ("signed-zero", 3), ("distinct", 5)]:
-        prob.calls = 0
+    for name, rows in [("identical", [0]), ("repeated", [0, 1, 3]), ("signed-zero", [0, 1, 3]),
+                       ("distinct", [0, 1, 2, 3, 4])]:
+        prob.calls, prob.points = 0, []
         def33_term(prob, states[name])
-        assert prob.calls == calls, name
+        assert prob.calls == 1, name
+        assert [x.tobytes() for x in prob.points] == [states[name][i].tobytes() for i in rows], name
 
 
 @pytest.mark.parametrize("algorithm", ["gt-sarah", "dsgt", "dsgd"])

@@ -209,6 +209,53 @@ def test_minibatch_gradients_stacked_points_bitwise(make, n, m, p, B):
         assert both[1].tobytes() == prob.minibatch_gradients(Y, idx).tobytes()
 
 
+def sparse_problem(family, n, m, p, density, seed):
+    """A problem whose features (centers for quadratics) keep a `density` share of entries."""
+    rng = np.random.default_rng(seed)
+    keep = rng.random((n, m, p)) < density
+    keep[..., 0] = True                     # no all-zero feature vector
+    if family == "quadratic":
+        return QuadraticProblem(rng.uniform(0.5, 2.0, size=(n, m, p)),
+                                np.where(keep, rng.normal(size=(n, m, p)), 0.0))
+    theta = np.where(keep, rng.normal(size=(n, m, p)), 0.0)
+    theta /= np.linalg.norm(theta, axis=2, keepdims=True)
+    labels = rng.choice([-1.0, 1.0], size=(n, m))
+    return LogisticProblem(LogisticDataset(features=theta, labels=labels))
+
+
+def full_gradient_reference(prob, x):
+    """The single-point formulas full_gradient had before it took stacked points."""
+    if isinstance(prob, QuadraticProblem):
+        a, c = prob.curvatures, prob.centers
+        return a.mean(axis=(0, 1)) * x - (a * c).mean(axis=(0, 1))
+    F, y = prob.dataset.features, prob.dataset.labels
+    margins = (F @ x) * y
+    coeff = -y * masked_sigmoid(-margins)
+    return np.einsum("im,imp->p", coeff, F) / (prob.n * prob.m) + prob._reg_gradient(x)
+
+
+@pytest.mark.parametrize("family", ["logistic", "quadratic"])
+@pytest.mark.parametrize("n, m, p, density", [(3, 4, 2, 1.0), (5, 7, 128, 1.0),
+                                              (16, 1000, 100, 0.2)])
+def test_full_gradient_stacked_points_bitwise(family, n, m, p, density):
+    prob = sparse_problem(family, n, m, p, density, seed=n + p)
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=p)
+    plus_zero, minus_zero = x.copy(), x.copy()
+    plus_zero[0], minus_zero[0] = 0.0, -0.0
+    # a unit feature vector scaled past 710 gives margins beyond exp's range
+    far = prob.dataset.features[0, 0] if family == "logistic" else rng.normal(size=p)
+    X = np.array([x, x, plus_zero, minus_zero, 1000.0 * far, -800.0 * far, 3.0 * x])
+    if family == "logistic":
+        margins = prob.dataset.features @ X[4]
+        assert np.abs(margins).max() > 710
+    stacked = prob.full_gradient(X)
+    assert stacked.shape == X.shape
+    for row, point in zip(stacked, X):
+        assert row.tobytes() == prob.full_gradient(point).tobytes()
+        assert row.tobytes() == full_gradient_reference(prob, point).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # smoothness
 

@@ -6,6 +6,8 @@ them, so an in-place rewrite of synthesize, parse_libsvm or prepare that
 moves one bit fails here. The memory bounds use tracemalloc, to which
 numpy reports every array buffer: each is the traced peak of one call over
 the bytes of the features it returns, free of allocator and host noise.
+The def33_term bound is over its stacked full gradient's (n, r, m)
+coefficient array instead.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from decenopt.data import RawDataset, parse_libsvm, prepare, serialize_libsvm, synthesize
+from decenopt.engine import def33_term
 
 # two classes, one zero row (line 5), one duplicate index (line 2: 3:2.0 wins)
 FIXED_LIBSVM = ("# two classes, one zero row, one duplicate index\n"
@@ -104,3 +107,13 @@ def test_parse_libsvm_peak_memory(tmp_path):
     assert raw.features.shape == (4000, 50)
     ratio = peak / raw.features.nbytes
     assert ratio <= 2.5
+
+
+def test_def33_term_peak_memory():
+    # one node-major full_gradient call on all 16 distinct rows: its (n, r, m)
+    # coefficient array plus temporaries for one node's (r, m) block
+    problem = synthesize("heterogeneous", 16, 1000, 100, seed=0, family="logistic")
+    X = np.random.default_rng(1).normal(size=(16, 100))
+    _, peak = traced_peak(lambda: def33_term(problem, X))
+    ratio = peak / (problem.n * X.shape[0] * problem.m * 8)
+    assert ratio <= 1.5
