@@ -76,12 +76,14 @@ def _round(state: NetworkState, W: np.ndarray, alpha: float, d: np.ndarray,
     Charges ``grads`` component gradients (the cost of producing d) and
     one communication round.
     """
+    # in place only on the fresh products of W: state may share y with v
     if state.y is not None:
-        state.y = W @ state.y + d - state.v
-        state.v = d
-        d = state.y
-    state.x_prev = state.x
-    state.x = W @ state.x - alpha * d
+        y = W @ state.y
+        y += d
+        y -= state.v
+        state.y, state.v, d = y, d, y
+    state.x_prev, state.x = state.x, W @ state.x
+    state.x -= alpha * d
     state.t += 1
     state.counters.grads += grads
     state.counters.rounds += 1

@@ -143,17 +143,19 @@ class _Recorder:
         self.def33_count = 0
 
     def observe(self, X, counters, s, t, force=False):
-        nm = self.problem.n * self.problem.m
-        if self.j % self.def33_every == 0 and not force:
+        j, self.j = self.j, self.j + 1
+        if not force and j % self.def33_every and j % self.record_every:
+            return
+        if j % self.def33_every == 0 and not force:
             self.def33_sum += def33_term(self.problem, X)
             self.def33_count += 1
-        if force or self.j % self.record_every == 0:
+        if force or j % self.record_every == 0:
             xbar = X.mean(axis=0)
             ce = consensus_error(X)
             grad_norm = float(np.linalg.norm(self.problem.full_gradient(xbar)))
             self.trace.records.append(TraceRecord(
                 s=s, t=t,
-                epochs=counters.grads / nm,
+                epochs=counters.grads / (self.problem.n * self.problem.m),
                 grads_total=counters.grads,
                 comm_rounds=counters.rounds,
                 stationary_gap=grad_norm + ce,
@@ -161,11 +163,11 @@ class _Recorder:
                 objective=self.problem.full_value(xbar),
                 def33_mean=self.def33_sum / max(1, self.def33_count),
             ))
-        self.j += 1
 
 
 def _check_finite(state, limit, trace):
-    if not np.linalg.norm(state.x) <= limit:     # also true for a NaN or inf norm
+    x = state.x.ravel(order="K")    # sqrt(x . x) is the float np.linalg.norm(state.x) gives
+    if not math.sqrt(x.dot(x)) <= limit:     # also true for a NaN or inf norm
         raise DivergenceError(f"state norm left the finite trust region (> {limit:g}) "
                               f"at (s={state.s}, t={state.t})", trace)
 
@@ -237,9 +239,6 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     cfg = resolve(config, problem, lam)
 
     x0 = np.zeros(problem.p) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    rngs = IndexStreams(node_streams(cfg.seed, problem.n,
-                                     namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
-                        problem.m, cfg.B)
     trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed)
     rec = _Recorder(problem, trace, cfg.record_every, cfg.def33_every)
 
@@ -247,12 +246,17 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
         state = initial_state(x0, problem.n)
         rounds = ((s, t) for s in range(1, cfg.S + 1) for t in range(cfg.q + 1))
         step = partial(_gt_sarah_step, q=cfg.q)
+        draws = cfg.S * cfg.q                      # one per inner step
     else:
         state = baseline_state(x0, problem.n)
         rounds = ((0, k) for k in range(cfg.steps))
-        if cfg.algorithm == "dsgt":
-            dsgt_init(state, problem, cfg.B, rngs)
         step = dsgd_step if cfg.algorithm == "dsgd" else dsgt_step
+        draws = cfg.steps + (cfg.algorithm == "dsgt")   # one per step, plus dsgt_init
+    rngs = IndexStreams(node_streams(cfg.seed, problem.n,
+                                     namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
+                        problem.m, cfg.B, draws)
+    if cfg.algorithm == "dsgt":
+        dsgt_init(state, problem, cfg.B, rngs)
     for s, t in rounds:
         rec.observe(state.x, state.counters, s, t)
         step(state, problem, W, cfg.alpha, cfg.B, rngs)

@@ -26,7 +26,17 @@ def sigmoid(z):
     """
     z = np.asarray(z, dtype=float)
     e = np.exp(np.minimum(z, -z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _coefficients(dots, neg_labels, out=None):
+    """-xi * sigmoid(-margin) from dots = theta . x, overwritten: dots * (-xi)
+    is -(dots * xi) bit for bit, so negated labels save both negations."""
+    dots *= neg_labels
+    return np.multiply(neg_labels, sigmoid(dots), out=out)
 
 
 class FiniteSumProblem:
@@ -132,13 +142,25 @@ class LogisticProblem(FiniteSumProblem):
         self.p = dataset.p
         self.L = float(L) if L is not None else 0.25 + 2.0 * dataset.reg
         self._rows = np.arange(self.n)[:, None]
+        self._neg_labels = -dataset.labels
 
     def _reg_value(self, x):
         x2 = x * x
         return self.dataset.reg * float(np.sum(x2 / (1.0 + x2)))
 
     def _reg_gradient(self, x):
-        return 2.0 * self.dataset.reg * x / (1.0 + x * x) ** 2
+        den = x * x
+        den += 1.0
+        den *= den
+        out = 2.0 * self.dataset.reg * x
+        out /= den
+        return out
+
+    def _mean_plus_reg(self, loss, count, x):
+        """loss / count + the regularizer gradient at x, in place on loss."""
+        loss /= count
+        loss += self._reg_gradient(x)
+        return loss
 
     def component_value(self, i, j, x):
         d = self.dataset
@@ -158,9 +180,8 @@ class LogisticProblem(FiniteSumProblem):
         self._check_node(i)
         d = self.dataset
         x = np.asarray(x, dtype=float)
-        margins = (d.features[i] @ x) * d.labels[i]
-        coeff = -d.labels[i] * sigmoid(-margins)
-        return (coeff @ d.features[i]) / self.m + self._reg_gradient(x)
+        coeff = _coefficients(d.features[i] @ x, self._neg_labels[i])
+        return self._mean_plus_reg(coeff @ d.features[i], self.m, x)
 
     def full_value(self, x):
         d = self.dataset
@@ -177,30 +198,27 @@ class LogisticProblem(FiniteSumProblem):
         step = max(1, self.n * self.p // x.size)
         axes = tuple(range(1, x.ndim))
         for a in range(0, self.n, step):
-            xi = np.expand_dims(d.labels[a:a + step], axes)
             theta = np.expand_dims(d.features[a:a + step], axes)
-            margins = np.matmul(theta, x[..., None])[..., 0] * xi
-            np.multiply(-xi, sigmoid(-margins), out=coeff[a:a + step])
-        loss = np.einsum("i...m,imp->...p", coeff, d.features) / (self.n * self.m)
-        return loss + self._reg_gradient(x)
+            _coefficients(np.matmul(theta, x[..., None])[..., 0],
+                          np.expand_dims(self._neg_labels[a:a + step], axes),
+                          out=coeff[a:a + step])
+        loss = np.einsum("i...m,imp->...p", coeff, d.features)
+        return self._mean_plus_reg(loss, self.n * self.m, x)
 
     def batch_gradients(self, X):
         d = self.dataset
         X = np.asarray(X, dtype=float)
-        margins = np.einsum("imp,ip->im", d.features, X) * d.labels
-        coeff = -d.labels * sigmoid(-margins)
-        loss = np.einsum("im,imp->ip", coeff, d.features) / self.m
-        return loss + self._reg_gradient(X)
+        coeff = _coefficients(np.einsum("imp,ip->im", d.features, X), self._neg_labels)
+        return self._mean_plus_reg(np.einsum("im,imp->ip", coeff, d.features), self.m, X)
 
     def minibatch_gradients(self, X, indices):
         d = self.dataset
         X = np.asarray(X, dtype=float)
         theta = d.features[self._rows, indices]    # (n, B, p)
-        xi = d.labels[self._rows, indices]         # (n, B)
-        margins = np.einsum("ibp,...ip->...ib", theta, X) * xi
-        coeff = -xi * sigmoid(-margins)
-        loss = np.einsum("...ib,ibp->...ip", coeff, theta) / indices.shape[1]
-        return loss + self._reg_gradient(X)
+        coeff = _coefficients(np.einsum("ibp,...ip->...ib", theta, X),
+                              self._neg_labels[self._rows, indices])
+        loss = np.einsum("...ib,ibp->...ip", coeff, theta)
+        return self._mean_plus_reg(loss, indices.shape[1], X)
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,16 @@ class IndexStreams:
     ``rng.integers(0, m, size=B)`` call per node would return. numpy draws a
     block of k * B bounded integers exactly as k successive draws of B, so
     drawing ahead never changes a trajectory; it replaces n generator calls
-    and a stack per round with one slice.
+    and a stack per round with one slice. ``rounds``, the number of takes a
+    run expects, caps the block at rounds * B, so a short run draws no more
+    than it uses; takes past it refill as usual.
     """
 
-    def __init__(self, rngs, m: int, B: int):
+    def __init__(self, rngs, m: int, B: int, rounds: int | None = None):
         self.rngs = rngs
         self.m = m
         self.B = B
-        self._size = max(1, INDEX_BLOCK // B) * B
+        self._size = max(1, min(INDEX_BLOCK // B, rounds or INDEX_BLOCK)) * B
         self._block = np.empty((len(rngs), 0), dtype=np.int64)
         self._pos = 0
 

@@ -322,6 +322,20 @@ def test_index_streams_match_per_round_draws(m, B):
         sample_indices(ahead, m, B + 1)
 
 
+@pytest.mark.parametrize("B", [1, 7, 64])
+def test_sized_index_streams_match_unsized(B):
+    # a block capped at rounds * B draws the same stream, before, at and past
+    # the expected number of takes, with rounds * B below, at and above INDEX_BLOCK
+    per_block = INDEX_BLOCK // B
+    for rounds in (3, per_block - 1, per_block, per_block + 5):
+        sized = IndexStreams(node_streams(9, 3), 1000, B, rounds=rounds)
+        unsized = IndexStreams(node_streams(9, 3), 1000, B)
+        takes = 2 * rounds + 3
+        got = np.concatenate([sized.take() for _ in range(takes)], axis=1)
+        want = np.concatenate([unsized.take() for _ in range(takes)], axis=1)
+        assert np.array_equal(got, want), rounds
+
+
 # ---------------------------------------------------------------------------
 # step-size and complexity calculators
 

@@ -6,10 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from decenopt.algorithms import RunConfig, max_stepsize
+from decenopt.algorithms import NetworkState, RunConfig, max_stepsize
 from decenopt.data import synthesize
-from decenopt.engine import (CSV_HEADER, DivergenceError, def33_term, outer_iteration_bound, run,
-                             stationary_gap)
+from decenopt.engine import (CSV_HEADER, DivergenceError, _check_finite, def33_term,
+                             outer_iteration_bound, run, stationary_gap)
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.objective import LogisticProblem
 
@@ -290,6 +290,32 @@ def test_divergence_guard_on_non_finite_state(bad):
         with pytest.raises(DivergenceError) as exc:
             run(prob, ring_mix(3), cfg)
     assert str(exc.value).endswith("at (s=1, t=1)")
+
+
+def test_check_finite_trips_where_linalg_norm_does():
+    limit = 1e12
+    rng = np.random.default_rng(26)
+    base = rng.normal(size=(10, 10))
+    states = [np.full((1, 1), np.nextafter(limit, lim)) for lim in (0.0, np.inf)]
+    states.append(np.full((1, 1), limit))
+    # random states scaled to within a few ulps of the limit, C and F order
+    for k in range(-4, 5):
+        x = base * (limit / np.linalg.norm(base)) * (1.0 + k * np.finfo(float).eps)
+        states += [x, np.asfortranarray(x)]
+    for bad in (np.inf, -np.inf, np.nan):
+        x = base.copy()
+        x[3, 4] = bad
+        states.append(x)
+    trips = []
+    for x in states:
+        try:
+            _check_finite(NetworkState(x=x), limit, None)
+            trips.append(False)
+        except DivergenceError:
+            trips.append(True)
+        assert trips[-1] == (not np.linalg.norm(x) <= limit)
+    assert trips[:3] == [False, True, False]
+    assert any(trips[3:-3]) and not all(trips[3:-3]) and all(trips[-3:])
 
 
 def test_run_rejects_raw_weights_not_doubly_stochastic():

@@ -256,6 +256,48 @@ def test_full_gradient_stacked_points_bitwise(family, n, m, p, density):
         assert row.tobytes() == full_gradient_reference(prob, point).tobytes()
 
 
+def logistic_oracle_reference(prob, X, indices=None):
+    """The formulas the logistic oracles had before the negated labels: margins
+    (theta . x) * xi, coefficients -xi * sigmoid(-margins) and the ridge term
+    written out, for minibatch_gradients or (indices None) batch_gradients."""
+    F, y = prob.dataset.features, prob.dataset.labels
+    if indices is None:
+        theta, xi, count = F, y, prob.m
+    else:
+        rows = np.arange(prob.n)[:, None]
+        theta, xi, count = F[rows, indices], y[rows, indices], indices.shape[1]
+    margins = np.einsum("ibp,...ip->...ib", theta, X) * xi
+    coeff = -xi * masked_sigmoid(-margins)
+    loss = np.einsum("...ib,ibp->...ip", coeff, theta) / count
+    return loss + 2.0 * prob.dataset.reg * X / (1.0 + X * X) ** 2
+
+
+@pytest.mark.parametrize("n, B, p", [(10, 1, 10), (20, 64, 128), (3, 5, 2)])
+def test_logistic_oracles_match_reference_bitwise(n, B, p):
+    # finite inputs only: with a NaN margin the two forms may differ in the
+    # NaN's sign bit, and a NaN state trips the divergence guard before any record
+    prob = random_logistic(n, 2 * B + 3, p, seed=n + B + p)
+    rng = np.random.default_rng(p)
+    for scale in (1.0, 3.0, 1e3):
+        X, Y = rng.normal(size=(2, n, p)) * scale
+        X[0], X[1] = 0.0, -0.0
+        idx = rng.integers(0, prob.m, size=(n, B))
+        # a row along a sampled feature vector, scaled past exp's range
+        Y[-1] = 800.0 * prob.dataset.features[n - 1, idx[-1, 0]]
+        assert np.abs(prob.dataset.features[n - 1, idx[-1]] @ Y[-1]).max() > 710
+        for points in (X, Y, X[None], np.array((X, Y))):
+            got = prob.minibatch_gradients(points, idx)
+            assert got.tobytes() == logistic_oracle_reference(prob, points, idx).tobytes()
+        got = prob.batch_gradients(Y)
+        assert got.tobytes() == logistic_oracle_reference(prob, Y).tobytes()
+        F, y = prob.dataset.features, prob.dataset.labels
+        for i in range(n):
+            coeff = -y[i] * masked_sigmoid(-((F[i] @ Y[i]) * y[i]))
+            reg = 2.0 * prob.dataset.reg * Y[i] / (1.0 + Y[i] * Y[i]) ** 2
+            want = (coeff @ F[i]) / prob.m + reg
+            assert prob.batch_gradient(i, Y[i]).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # smoothness
 
