@@ -1,0 +1,94 @@
+"""Alternating A/B pairs of perfbench runs in two checkouts.
+
+    python3 scripts/abpairs.py PARENT CHANGE --workload paper-sweep --seeds 10-19 --seconds 30
+
+Each seed is one pair: ``perfbench/run.py --trace 0`` runs once in each
+checkout, parent first on even pairs and change first on odd ones, so a
+drift in host speed does not favour one side. Every run's JSON line is
+checked for ``correct`` and ``failed``. For each end-to-end metric that
+PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
+values, each side's median and quartiles, the change in the median, and
+how many pairs the change won (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seeds(text: str) -> list[int]:
+    """'10-19' or '3,5,8' (or a mix) as a list of ints."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {done.returncode}\n"
+                         f"{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 10-19 or 3,5,8")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    sides = ("parent", "change")
+    values = {side: {name: [] for name, _, _ in metrics} for side in sides}
+    ok = True
+    for k, seed in enumerate(args.seeds):
+        order = sides if k % 2 == 0 else sides[::-1]
+        for side in order:
+            out = bench(getattr(args, side), args.workload, seed, args.seconds)
+            ok &= bool(out["correct"]) and out["failed"] == 0
+            for name, _, _ in metrics:
+                values[side][name].append(out["metrics"][name]["value"])
+            print(f"pair {k} seed {seed} {side}: correct={out['correct']} "
+                  f"failed={out['failed']}/{out['attempted']} "
+                  + " ".join(f"{name}={out['metrics'][name]['value']:.4g}"
+                             for name, _, _ in metrics), flush=True)
+
+    print(f"\n{args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s runs, "
+          f"seeds {','.join(map(str, args.seeds))}")
+    print(f"{'metric':<20} {'parent p25/med/p75':>30} {'change p25/med/p75':>30} "
+          f"{'change':>8} {'won':>6}")
+    for name, unit, better in metrics:
+        a, b = values["parent"][name], values["change"][name]
+        sign = -1.0 if better == "lower" else 1.0
+        won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        qa, qb = quartiles(a), quartiles(b)
+        rel = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
+        print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
+              f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} {won:>3}/{len(a)}  {unit}")
+    print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -105,9 +105,16 @@ def sample_indices(rngs, m: int, B: int) -> np.ndarray:
     return np.stack([rng.integers(0, m, size=B) for rng in rngs])
 
 
-def sarah_estimator(problem, X, X_prev, V_prev, indices) -> np.ndarray:
+def _sample(problem, B, rngs):
+    # the indices, and the rows an IndexStreams gathered ahead for them with
+    # this problem's gather (else None: the oracle gathers them itself)
+    idx = sample_indices(rngs, problem.m, B)
+    return idx, (rngs.rows if getattr(rngs, "gather", None) == problem.gather else None)
+
+
+def sarah_estimator(problem, X, X_prev, V_prev, indices, rows=None) -> np.ndarray:
     """Recursive estimator: minibatch(grad(X) - grad(X_prev)) + V_prev, row-wise."""
-    g_new, g_old = problem.minibatch_gradients(np.array((X, X_prev)), indices)
+    g_new, g_old = problem.minibatch_gradients(np.array((X, X_prev)), indices, rows)
     return (g_new - g_old) + V_prev
 
 
@@ -135,8 +142,7 @@ def gt_sarah_inner_step(state: NetworkState, problem, W: np.ndarray, alpha: floa
         raise ValueError(f"minibatch size {B} outside [1, {problem.m}]")
     if state.t < 1 or state.x_prev is None:
         raise ValueError("inner step requires a completed outer init")
-    idx = sample_indices(rngs, problem.m, B)
-    v = sarah_estimator(problem, state.x, state.x_prev, state.v, idx)
+    v = sarah_estimator(problem, state.x, state.x_prev, state.v, *_sample(problem, B, rngs))
     return _round(state, W, alpha, v, 2 * problem.n * B)
 
 
@@ -163,8 +169,7 @@ def _minibatch(problem, X, B, rngs):
         if B != problem.m:
             raise ValueError("full-pass mode requires B = m")
         return problem.batch_gradients(X), problem.n * problem.m
-    idx = sample_indices(rngs, problem.m, B)
-    return problem.minibatch_gradients(X, idx), problem.n * B
+    return problem.minibatch_gradients(X, *_sample(problem, B, rngs)), problem.n * B
 
 
 def dsgd_step(state: NetworkState, problem, W: np.ndarray, alpha: float,

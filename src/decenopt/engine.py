@@ -254,7 +254,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
         draws = cfg.steps + (cfg.algorithm == "dsgt")   # one per step, plus dsgt_init
     rngs = IndexStreams(node_streams(cfg.seed, problem.n,
                                      namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
-                        problem.m, cfg.B, draws)
+                        problem.m, cfg.B, draws, gather=problem.gather)
     if cfg.algorithm == "dsgt":
         dsgt_init(state, problem, cfg.B, rngs)
     for s, t in rounds:

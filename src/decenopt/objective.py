@@ -50,8 +50,10 @@ class FiniteSumProblem:
     X[i]), ``minibatch_gradients(X, indices)`` (row i: mean of node i's
     component gradients at X[i] over the B draws indices[i], which may
     repeat; X may also stack k points as (k, n, p), giving (k, n, p) from
-    one gather), ``full_gradient(x)`` (x may also stack r points as (r, p),
-    each row equal to its own call) and ``full_value(x)``.
+    one gather; ``rows``, if given, is ``gather(indices)`` made ahead, or
+    views of it), ``gather(indices)`` (the tuple of sampled rows that
+    oracle reads), ``full_gradient(x)`` (x may also stack r points as
+    (r, p), each row equal to its own call) and ``full_value(x)``.
     """
 
     n: int
@@ -158,7 +160,8 @@ class LogisticProblem(FiniteSumProblem):
 
     def _mean_plus_reg(self, loss, count, x):
         """loss / count + the regularizer gradient at x, in place on loss."""
-        loss /= count
+        if count != 1:      # x / 1 is x: B = 1 rounds skip the division
+            loss /= count
         loss += self._reg_gradient(x)
         return loss
 
@@ -173,15 +176,18 @@ class LogisticProblem(FiniteSumProblem):
         x = np.asarray(x, dtype=float)
         theta = d.features[i, j]
         xi = d.labels[i, j]
-        margin = float(theta @ x) * xi
+        # theta . x summed as batch_gradients' einsum sums it, not as a dot: so
+        # a node with m = 1 has its component gradient as its batch gradient
+        margin = float(np.einsum("p,p->", theta, x)) * xi
         return -xi * float(sigmoid(-margin)) * theta + self._reg_gradient(x)
 
     def batch_gradient(self, i, x):
         self._check_node(i)
         d = self.dataset
         x = np.asarray(x, dtype=float)
-        coeff = _coefficients(d.features[i] @ x, self._neg_labels[i])
-        return self._mean_plus_reg(coeff @ d.features[i], self.m, x)
+        # node i's row of batch_gradients, byte for byte: the same einsums
+        coeff = _coefficients(np.einsum("mp,p->m", d.features[i], x), self._neg_labels[i])
+        return self._mean_plus_reg(np.einsum("m,mp->p", coeff, d.features[i]), self.m, x)
 
     def full_value(self, x):
         d = self.dataset
@@ -211,12 +217,14 @@ class LogisticProblem(FiniteSumProblem):
         coeff = _coefficients(np.einsum("imp,ip->im", d.features, X), self._neg_labels)
         return self._mean_plus_reg(np.einsum("im,imp->ip", coeff, d.features), self.m, X)
 
-    def minibatch_gradients(self, X, indices):
-        d = self.dataset
+    def gather(self, indices):
+        """The sampled rows (features, negated labels) of indices (..., n, B)."""
+        return self.dataset.features[self._rows, indices], self._neg_labels[self._rows, indices]
+
+    def minibatch_gradients(self, X, indices, rows=None):
+        theta, neg_labels = self.gather(indices) if rows is None else rows   # (n, B, p), (n, B)
         X = np.asarray(X, dtype=float)
-        theta = d.features[self._rows, indices]    # (n, B, p)
-        coeff = _coefficients(np.einsum("ibp,...ip->...ib", theta, X),
-                              self._neg_labels[self._rows, indices])
+        coeff = _coefficients(np.einsum("ibp,...ip->...ib", theta, X), neg_labels)
         loss = np.einsum("...ib,ibp->...ip", coeff, theta)
         return self._mean_plus_reg(loss, indices.shape[1], X)
 
@@ -274,10 +282,13 @@ class QuadraticProblem(FiniteSumProblem):
         return np.einsum("imp,imp->ip", self.curvatures,
                          X[:, None, :] - self.centers) / self.m
 
-    def minibatch_gradients(self, X, indices):
+    def gather(self, indices):
+        """The sampled rows (curvatures, centers) of indices (..., n, B)."""
+        return self.curvatures[self._rows, indices], self.centers[self._rows, indices]
+
+    def minibatch_gradients(self, X, indices, rows=None):
+        a, c = self.gather(indices) if rows is None else rows
         X = np.asarray(X, dtype=float)
-        a = self.curvatures[self._rows, indices]
-        c = self.centers[self._rows, indices]
         return (a * (X[..., None, :] - c)).mean(axis=-2)
 
     def minimizer(self) -> np.ndarray:

@@ -11,7 +11,7 @@ from decenopt.algorithms import (RunConfig, baseline_state, communication_optima
                                  sample_indices, sarah_estimator)
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
-from decenopt.streams import INDEX_BLOCK, IndexStreams, node_streams
+from decenopt.streams import INDEX_BLOCK, ROW_BLOCK_BYTES, IndexStreams, node_streams
 from helpers import reference_sarah, reference_sgd
 
 
@@ -334,6 +334,50 @@ def test_sized_index_streams_match_unsized(B):
         got = np.concatenate([sized.take() for _ in range(takes)], axis=1)
         want = np.concatenate([unsized.take() for _ in range(takes)], axis=1)
         assert np.array_equal(got, want), rounds
+
+
+@pytest.mark.parametrize("family", ["logistic", "quadratic"])
+@pytest.mark.parametrize("n, p, B", [(4, 3, 1), (4, 3, 7), (20, 128, 64)])
+def test_index_streams_gather_rows_ahead(family, n, p, B):
+    # each take's rows are the problem's own gather of its indices, across row
+    # sub-blocks and index block refills, and a sub-block holds at most
+    # ROW_BLOCK_BYTES; at wide-minibatch's shape (n=20, p=128, B=64: 1.3 MB
+    # a round) not even one round fits, so nothing is gathered ahead
+    prob = synthesize("heterogeneous", n, 64, p, seed=B, family=family)
+    per_round = n * B * (p + 1 if family == "logistic" else 2 * p) * 8
+    per_block = ROW_BLOCK_BYTES // per_round
+    ahead = IndexStreams(node_streams(3, n), 64, B, gather=prob.gather)
+    plain = IndexStreams(node_streams(3, n), 64, B)
+    for _ in range(INDEX_BLOCK // B + 2 * per_block + 3):
+        idx = ahead.take()
+        assert np.array_equal(idx, plain.take())
+        assert plain.rows is None
+        if per_block < 2:
+            assert ahead.rows is None
+            continue
+        for got, want in zip(ahead.rows, prob.gather(idx), strict=True):
+            assert got.tobytes() == want.tobytes()
+        # each row is a view of its sub-block, the (rounds, n, B, ...) gather
+        held = [row.base for row in ahead.rows]
+        assert all(len(block) <= per_block for block in held)
+        assert sum(block.nbytes for block in held) <= ROW_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("B", [1, 4])
+def test_rows_drawn_ahead_serve_only_their_problem(B):
+    # streams that gathered another problem's rows leave the oracle to gather
+    prob = synthesize("heterogeneous", 3, 8, 2, seed=1, family="logistic")
+    other = synthesize("heterogeneous", 3, 8, 2, seed=2, family="logistic")
+    W = ring_mix(3).entries
+    for rngs in (IndexStreams(node_streams(4, 3), 8, B, gather=other.gather),
+                 IndexStreams(node_streams(4, 3), 8, B, gather=prob.gather)):
+        st, ref = initial_state(np.ones(2), 3), initial_state(np.ones(2), 3)
+        plain = node_streams(4, 3)
+        for state, streams in ((st, rngs), (ref, plain)):
+            gt_sarah_outer_init(state, prob, W, 0.1)
+            for _ in range(5):
+                gt_sarah_inner_step(state, prob, W, 0.1, B, streams)
+        assert st.x.tobytes() == ref.x.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from decenopt import engine, streams
 from decenopt.algorithms import NetworkState, RunConfig, max_stepsize
 from decenopt.data import synthesize
 from decenopt.engine import (CSV_HEADER, DivergenceError, _check_finite, def33_term,
@@ -16,6 +17,12 @@ from decenopt.objective import LogisticProblem
 
 def ring_mix(n):
     return lazy_metropolis_weights(build_topology("ring", n))
+
+
+def csv_text(trace):
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +403,27 @@ def test_def33_running_mean_monotone_info():
                     record_every=7, def33_every=1)
     tr = run(prob, ring_mix(3), cfg)
     assert tr.final.def33_mean < tr.records[1].def33_mean
+
+
+@pytest.mark.parametrize("family", ["logistic", "quadratic"])
+@pytest.mark.parametrize("algorithm", ["gt-sarah", "dsgt", "dsgd"])
+@pytest.mark.parametrize("B", [1, 7, 64])
+def test_rows_drawn_ahead_match_per_round_gather(monkeypatch, family, algorithm, B):
+    # blocks shrunk so every run crosses row sub-block boundaries and index
+    # block refills: 37 rounds per index block, 5 per row sub-block
+    prob = synthesize("heterogeneous", 4, 64, 3, seed=B, family=family)
+    per_round = sum(a.nbytes for a in prob.gather(np.zeros((4, B), dtype=np.int64)))
+    monkeypatch.setattr(streams, "INDEX_BLOCK", 37 * B)
+    monkeypatch.setattr(streams, "ROW_BLOCK_BYTES", 5 * per_round + per_round // 2)
+    budget = dict(S=2, q=40) if algorithm == "gt-sarah" else dict(steps=100)
+    cfg = RunConfig(algorithm=algorithm, alpha=0.05, B=B, seed=B, record_every=3, **budget)
+    shapes, gather = [], prob.gather
+    prob.gather = lambda idx: shapes.append(idx.shape) or gather(idx)
+    ahead = run(prob, ring_mix(4), cfg)
+    assert (5, 4, B) in shapes      # one gather served 5 rounds
+    # the reference: no gather ahead, so the oracle gathers every round's rows
+    monkeypatch.setattr(engine, "IndexStreams",
+                        lambda rngs, m, B, rounds, gather: streams.IndexStreams(rngs, m, B, rounds))
+    per_round_gather = run(prob, ring_mix(4), cfg)
+    assert csv_text(ahead) == csv_text(per_round_gather)
+    assert ahead.final_x.tobytes() == per_round_gather.final_x.tobytes()

@@ -209,6 +209,39 @@ def test_minibatch_gradients_stacked_points_bitwise(make, n, m, p, B):
         assert both[1].tobytes() == prob.minibatch_gradients(Y, idx).tobytes()
 
 
+@pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
+@pytest.mark.parametrize("n, m, p, B", [(3, 4, 2, 1), (10, 1000, 10, 1), (5, 30, 7, 7),
+                                        (20, 200, 128, 64)])
+def test_minibatch_gradients_pre_gathered_rows_bitwise(make, n, m, p, B):
+    # rows gathered ahead for k rounds at once, handed over as views of one round
+    prob = make(n, m, p, seed=19)
+    rng = np.random.default_rng(20)
+    k = 4
+    idx = rng.integers(0, m, size=(k, n, B))
+    round_major = prob.gather(idx)                              # (k, n, B, ...)
+    node_major = prob.gather(np.concatenate(list(idx), axis=1))  # (n, k * B, ...)
+    for j in range(k):
+        X, Y = rng.normal(size=(2, n, p)) * 3.0
+        views = (tuple(a[j] for a in round_major),
+                 tuple(a[:, j * B:(j + 1) * B] for a in node_major))
+        for points in (X, X[None], np.array((X, Y))):
+            want = prob.minibatch_gradients(points, idx[j]).tobytes()
+            for rows in views:
+                assert prob.minibatch_gradients(points, idx[j], rows).tobytes() == want
+
+
+@pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
+@pytest.mark.parametrize("n, m, p", [(3, 13, 2), (10, 1000, 10), (5, 7, 128), (20, 200, 128)])
+def test_batch_gradient_is_row_of_batch_gradients_bitwise(make, n, m, p):
+    prob = make(n, m, p, seed=n + p)
+    rng = np.random.default_rng(m)
+    for scale in (1.0, 30.0):
+        X = rng.normal(size=(n, p)) * scale
+        rows = prob.batch_gradients(X)
+        for i in range(n):
+            assert prob.batch_gradient(i, X[i]).tobytes() == rows[i].tobytes()
+
+
 def sparse_problem(family, n, m, p, density, seed):
     """A problem whose features (centers for quadratics) keep a `density` share of entries."""
     rng = np.random.default_rng(seed)
@@ -290,12 +323,8 @@ def test_logistic_oracles_match_reference_bitwise(n, B, p):
             assert got.tobytes() == logistic_oracle_reference(prob, points, idx).tobytes()
         got = prob.batch_gradients(Y)
         assert got.tobytes() == logistic_oracle_reference(prob, Y).tobytes()
-        F, y = prob.dataset.features, prob.dataset.labels
         for i in range(n):
-            coeff = -y[i] * masked_sigmoid(-((F[i] @ Y[i]) * y[i]))
-            reg = 2.0 * prob.dataset.reg * Y[i] / (1.0 + Y[i] * Y[i]) ** 2
-            want = (coeff @ F[i]) / prob.m + reg
-            assert prob.batch_gradient(i, Y[i]).tobytes() == want.tobytes()
+            assert prob.batch_gradient(i, Y[i]).tobytes() == got[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
