@@ -7,8 +7,9 @@ checkout, parent first on even pairs and change first on odd ones, so a
 drift in host speed does not favour one side. Every run's JSON line is
 checked for ``correct`` and ``failed``. For each end-to-end metric that
 PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
-values, each side's median and quartiles, the change in the median, and
-how many pairs the change won (ties count for neither side).
+values, each side's median and quartiles, the change in the median, how
+many pairs the change won (ties count for neither side) and the
+metric's verdict (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def won(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change read better; ties count for neither side."""
+    sign = -1.0 if better == "lower" else 1.0
+    return sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's pairs judged against its relative ``bound``.
+
+    - ``gain``: the change won at least 9 in 10 pairs (ties count for
+      neither side), and its median is better than the parent's by more
+      than the parent's p25-p75 spread;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: the parent's spread exceeds ``bound`` times its
+      median, and not every change run beats every parent run;
+    - ``no change``: anything else.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    p25, p_med, p75 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    if (10 * won(parent, change, better) >= 9 * len(parent)
+            and sign * (c_med - p_med) > p75 - p25):
+        return "gain"
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    if p75 - p25 > bound * abs(p_med) and not all(
+            sign * (y - x) > 0 for x in parent for y in change):
+        return "unresolved"
+    return "no change"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -59,6 +92,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = ("parent", "change")
     values = {side: {name: [] for name, _, _ in metrics} for side in sides}
     ok = True
@@ -77,15 +111,14 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s runs, "
           f"seeds {','.join(map(str, args.seeds))}")
     print(f"{'metric':<20} {'parent p25/med/p75':>30} {'change p25/med/p75':>30} "
-          f"{'change':>8} {'won':>6}")
+          f"{'change':>8} {'won':>6}  verdict")
     for name, unit, better in metrics:
         a, b = values["parent"][name], values["change"][name]
-        sign = -1.0 if better == "lower" else 1.0
-        won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
         rel = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
         print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
-              f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} {won:>3}/{len(a)}  {unit}")
+              f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
+              f"{won(a, b, better):>3}/{len(a)}  {verdict(a, b, better, bounds[name])} ({unit})")
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
     return 0 if ok else 1
 

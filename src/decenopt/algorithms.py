@@ -109,7 +109,7 @@ def _sample(problem, B, rngs):
     # the indices, and the rows an IndexStreams gathered ahead for them with
     # this problem's gather (else None: the oracle gathers them itself)
     idx = sample_indices(rngs, problem.m, B)
-    return idx, (rngs.rows if getattr(rngs, "gather", None) == problem.gather else None)
+    return idx, (rngs.rows if getattr(rngs, "owner", None) is problem else None)
 
 
 def sarah_estimator(problem, X, X_prev, V_prev, indices, rows=None) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -70,10 +71,10 @@ def def33_term(problem, X: np.ndarray) -> float:
         first.setdefault(key, i)
     G = problem.full_gradient(X[list(first.values())])
     grad_sq = {key: float(g @ g) for key, g in zip(first, G)}
-    total = 0.0
+    total, L2 = 0.0, problem.L ** 2
     for key, x in zip(keys, X):
         d = x - xbar
-        total += grad_sq[key] + problem.L ** 2 * float(d @ d)
+        total += grad_sq[key] + L2 * float(d @ d)
     return total / X.shape[0]
 
 
@@ -138,31 +139,33 @@ class _Recorder:
         self.trace = trace
         self.record_every = record_every
         self.def33_every = def33_every
-        self.j = 0
         self.def33_sum = 0.0
         self.def33_count = 0
 
-    def observe(self, X, counters, s, t, force=False):
-        j, self.j = self.j, self.j + 1
-        if not force and j % self.def33_every and j % self.record_every:
-            return
-        if j % self.def33_every == 0 and not force:
+    def observe(self, j, X, counters, s, t) -> int:
+        """Round j's def33 sample and record, each if due; the next round one is due."""
+        if j % self.def33_every == 0:
             self.def33_sum += def33_term(self.problem, X)
             self.def33_count += 1
-        if force or j % self.record_every == 0:
-            xbar = X.mean(axis=0)
-            ce = consensus_error(X)
-            grad_norm = float(np.linalg.norm(self.problem.full_gradient(xbar)))
-            self.trace.records.append(TraceRecord(
-                s=s, t=t,
-                epochs=counters.grads / (self.problem.n * self.problem.m),
-                grads_total=counters.grads,
-                comm_rounds=counters.rounds,
-                stationary_gap=grad_norm + ce,
-                consensus_error=ce,
-                objective=self.problem.full_value(xbar),
-                def33_mean=self.def33_sum / max(1, self.def33_count),
-            ))
+        if j % self.record_every == 0:
+            self.record(X, counters, s, t)
+        return min((j // e + 1) * e for e in (self.record_every, self.def33_every))
+
+    def record(self, X, counters, s, t):
+        """Append the trace record of state X at round (s, t)."""
+        xbar = X.mean(axis=0)
+        ce = consensus_error(X)
+        grad_norm = float(np.linalg.norm(self.problem.full_gradient(xbar)))
+        self.trace.records.append(TraceRecord(
+            s=s, t=t,
+            epochs=counters.grads / (self.problem.n * self.problem.m),
+            grads_total=counters.grads,
+            comm_rounds=counters.rounds,
+            stationary_gap=grad_norm + ce,
+            consensus_error=ce,
+            objective=self.problem.full_value(xbar),
+            def33_mean=self.def33_sum / max(1, self.def33_count),
+        ))
 
 
 def _check_finite(state, limit, trace):
@@ -177,6 +180,8 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
     cfg = replace(config)
     if cfg.B > problem.m:
         raise ValueError(f"minibatch size {cfg.B} exceeds m={problem.m}")
+    if cfg.x0 is not None and np.shape(cfg.x0) != (problem.p,):
+        raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match (p,) = {(problem.p,)}")
     if cfg.algorithm == "gt-sarah":
         q = cfg.q if cfg.q is not None else problem.m
         S = cfg.S
@@ -205,15 +210,20 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
     return cfg
 
 
-def _gt_sarah_step(state, problem, W, alpha, B, rngs, q):
-    # a cycle starts (t = 0) with the handoff from the previous cycle, if
-    # any, and the outer init; t = 1..q are inner steps
-    if state.t == q + 1:
+def _cycle_start(state, problem, W, alpha, B, rngs, q=None):
+    # round t = 0 of a GT-SARAH cycle: the handoff from the previous cycle,
+    # given its q, then the outer init
+    if q is not None:
         gt_sarah_cycle_handoff(state, q)
-    if state.t == 0:
-        gt_sarah_outer_init(state, problem, W, alpha)
-    else:
-        gt_sarah_inner_step(state, problem, W, alpha, B, rngs)
+    gt_sarah_outer_init(state, problem, W, alpha)
+
+
+def _gt_sarah_rounds(S, q):
+    # (s, t, step) of every round; t = 1..q are inner steps
+    later = partial(_cycle_start, q=q)
+    for s in range(1, S + 1):
+        yield s, 0, later if s > 1 else _cycle_start
+        yield from zip(repeat(s), range(1, q + 1), repeat(gt_sarah_inner_step))
 
 
 def run(problem, weights, config: RunConfig) -> RunTrace:
@@ -244,23 +254,24 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
 
     if cfg.algorithm == "gt-sarah":
         state = initial_state(x0, problem.n)
-        rounds = ((s, t) for s in range(1, cfg.S + 1) for t in range(cfg.q + 1))
-        step = partial(_gt_sarah_step, q=cfg.q)
+        rounds = _gt_sarah_rounds(cfg.S, cfg.q)
         draws = cfg.S * cfg.q                      # one per inner step
     else:
         state = baseline_state(x0, problem.n)
-        rounds = ((0, k) for k in range(cfg.steps))
         step = dsgd_step if cfg.algorithm == "dsgd" else dsgt_step
+        rounds = zip(repeat(0), range(cfg.steps), repeat(step))
         draws = cfg.steps + (cfg.algorithm == "dsgt")   # one per step, plus dsgt_init
     rngs = IndexStreams(node_streams(cfg.seed, problem.n,
                                      namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
                         problem.m, cfg.B, draws, gather=problem.gather)
     if cfg.algorithm == "dsgt":
         dsgt_init(state, problem, cfg.B, rngs)
-    for s, t in rounds:
-        rec.observe(state.x, state.counters, s, t)
-        step(state, problem, W, cfg.alpha, cfg.B, rngs)
+    alpha, B, due = cfg.alpha, cfg.B, 0
+    for j, (s, t, step) in enumerate(rounds):
+        if j == due:
+            due = rec.observe(j, state.x, state.counters, s, t)
+        step(state, problem, W, alpha, B, rngs)
         _check_finite(state, DIVERGENCE_NORM, trace)
-    rec.observe(state.x, state.counters, state.s, state.t, force=True)
+    rec.record(state.x, state.counters, state.s, state.t)
     trace.final_x = state.x
     return trace

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:    # what np.einsum calls when optimize=False, without its Python-level dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:     # numpy 1.x: the public function, the same bytes at its speed
+    _einsum = np.einsum
+
 
 def softplus(z):
     """log(1 + e^z), overflow-safe: max(z, 0) + log1p(e^{-|z|})."""
@@ -145,6 +150,7 @@ class LogisticProblem(FiniteSumProblem):
         self.L = float(L) if L is not None else 0.25 + 2.0 * dataset.reg
         self._rows = np.arange(self.n)[:, None]
         self._neg_labels = -dataset.labels
+        self._two_reg = 2.0 * dataset.reg
 
     def _reg_value(self, x):
         x2 = x * x
@@ -154,7 +160,7 @@ class LogisticProblem(FiniteSumProblem):
         den = x * x
         den += 1.0
         den *= den
-        out = 2.0 * self.dataset.reg * x
+        out = self._two_reg * x
         out /= den
         return out
 
@@ -178,7 +184,7 @@ class LogisticProblem(FiniteSumProblem):
         xi = d.labels[i, j]
         # theta . x summed as batch_gradients' einsum sums it, not as a dot: so
         # a node with m = 1 has its component gradient as its batch gradient
-        margin = float(np.einsum("p,p->", theta, x)) * xi
+        margin = float(_einsum("p,p->", theta, x)) * xi
         return -xi * float(sigmoid(-margin)) * theta + self._reg_gradient(x)
 
     def batch_gradient(self, i, x):
@@ -186,8 +192,8 @@ class LogisticProblem(FiniteSumProblem):
         d = self.dataset
         x = np.asarray(x, dtype=float)
         # node i's row of batch_gradients, byte for byte: the same einsums
-        coeff = _coefficients(np.einsum("mp,p->m", d.features[i], x), self._neg_labels[i])
-        return self._mean_plus_reg(np.einsum("m,mp->p", coeff, d.features[i]), self.m, x)
+        coeff = _coefficients(_einsum("mp,p->m", d.features[i], x), self._neg_labels[i])
+        return self._mean_plus_reg(_einsum("m,mp->p", coeff, d.features[i]), self.m, x)
 
     def full_value(self, x):
         d = self.dataset
@@ -208,14 +214,14 @@ class LogisticProblem(FiniteSumProblem):
             _coefficients(np.matmul(theta, x[..., None])[..., 0],
                           np.expand_dims(self._neg_labels[a:a + step], axes),
                           out=coeff[a:a + step])
-        loss = np.einsum("i...m,imp->...p", coeff, d.features)
+        loss = _einsum("i...m,imp->...p", coeff, d.features)
         return self._mean_plus_reg(loss, self.n * self.m, x)
 
     def batch_gradients(self, X):
         d = self.dataset
         X = np.asarray(X, dtype=float)
-        coeff = _coefficients(np.einsum("imp,ip->im", d.features, X), self._neg_labels)
-        return self._mean_plus_reg(np.einsum("im,imp->ip", coeff, d.features), self.m, X)
+        coeff = _coefficients(_einsum("imp,ip->im", d.features, X), self._neg_labels)
+        return self._mean_plus_reg(_einsum("im,imp->ip", coeff, d.features), self.m, X)
 
     def gather(self, indices):
         """The sampled rows (features, negated labels) of indices (..., n, B)."""
@@ -224,8 +230,8 @@ class LogisticProblem(FiniteSumProblem):
     def minibatch_gradients(self, X, indices, rows=None):
         theta, neg_labels = self.gather(indices) if rows is None else rows   # (n, B, p), (n, B)
         X = np.asarray(X, dtype=float)
-        coeff = _coefficients(np.einsum("ibp,...ip->...ib", theta, X), neg_labels)
-        loss = np.einsum("...ib,ibp->...ip", coeff, theta)
+        coeff = _coefficients(_einsum("ibp,...ip->...ib", theta, X), neg_labels)
+        loss = _einsum("...ib,ibp->...ip", coeff, theta)
         return self._mean_plus_reg(loss, indices.shape[1], X)
 
 
@@ -279,8 +285,8 @@ class QuadraticProblem(FiniteSumProblem):
 
     def batch_gradients(self, X):
         X = np.asarray(X, dtype=float)
-        return np.einsum("imp,imp->ip", self.curvatures,
-                         X[:, None, :] - self.centers) / self.m
+        return _einsum("imp,imp->ip", self.curvatures,
+                       X[:, None, :] - self.centers) / self.m
 
     def gather(self, indices):
         """The sampled rows (curvatures, centers) of indices (..., n, B)."""

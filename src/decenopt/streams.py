@@ -49,13 +49,15 @@ class IndexStreams:
     of that take's rows, the tuple ``gather`` returns for its indices. It
     is None without a gather, and when fewer than two rounds fit: the
     oracle then gathers each round's rows itself, as it would anyway.
+    ``owner`` is the problem the gather is bound to, the only one whose
+    oracle the step functions hand ``rows``.
     """
 
     def __init__(self, rngs, m: int, B: int, rounds: int | None = None, gather=None):
         self.rngs = rngs
         self.m = m
         self.B = B
-        self.gather = gather
+        self.owner = getattr(gather, "__self__", None)
         self.rows = None
         self._takes = _takes(rngs, m, B, max(1, min(INDEX_BLOCK // B, rounds or INDEX_BLOCK)),
                              gather)

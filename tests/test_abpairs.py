@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "abpairs", Path(__file__).resolve().parents[1] / "scripts" / "abpairs.py")
+abpairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(abpairs)
+
+PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0, 100.0]   # p25-p75: 1.0
+
+
+@pytest.mark.parametrize("change, better, want", [
+    # 10/10 pairs won, medians 10 apart against a spread of 1
+    ([x - 10.0 for x in PARENT], "lower", "gain"),
+    ([x + 10.0 for x in PARENT], "higher", "gain"),
+    # 9/10 still gains; a tie counts for neither side, so 8 wins and a tie do not
+    ([x - 10.0 for x in PARENT[:9]] + [101.0], "lower", "gain"),
+    ([x - 10.0 for x in PARENT[:8]] + [100.0, 101.0], "lower", "no change"),
+    # every pair won, but the medians 0.5 apart inside the parent's spread of 1
+    ([x - 0.5 for x in PARENT], "lower", "no change"),
+    # 30 % worse against a 0.24 bound; 20 % worse is within it
+    ([x * 1.3 for x in PARENT], "lower", "worse"),
+    ([x * 0.7 for x in PARENT], "higher", "worse"),
+    ([x * 1.2 for x in PARENT], "lower", "no change"),
+])
+def test_verdict_on_hand_made_runs(change, better, want):
+    assert abpairs.verdict(PARENT, change, better, 0.24) == want
+
+
+def test_verdict_unresolved_when_parent_spread_exceeds_bound():
+    parent = [60.0, 140.0, 70.0, 130.0, 100.0, 80.0, 120.0, 90.0, 110.0, 100.0]  # p25-p75: 35
+    overlapping = [x - 5.0 for x in parent]          # 10/10 won, medians 5 apart
+    assert abpairs.verdict(parent, overlapping, "lower", 0.24) == "unresolved"
+    # every change run below every parent run: resolved even so
+    assert abpairs.verdict(parent, [50.0] * 10, "lower", 0.24) == "gain"
+    # worse by more than the bound is worse, however wide the spread
+    assert abpairs.verdict(parent, [x * 1.5 for x in parent], "lower", 0.24) == "worse"
+
+
+def test_won_counts_ties_for_neither_side():
+    assert abpairs.won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
+    assert abpairs.won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1

@@ -299,6 +299,26 @@ def test_divergence_guard_on_non_finite_state(bad):
     assert str(exc.value).endswith("at (s=1, t=1)")
 
 
+@pytest.mark.parametrize("alpha, where, records, last", [
+    (1.142, "(s=40, t=1)", 157, (40, 0)),
+    (2.22, "(s=9, t=1)", 33, (9, 0)),
+    (1.70, "(s=12, t=4)", 48, (12, 3)),
+])
+def test_gt_sarah_divergence_after_first_cycle(alpha, where, records, last):
+    # trips at a later cycle's outer init (t=1, after its handoff) and after a
+    # cycle's last inner step (t=q+1, before the next handoff); with a record
+    # every round, the partial trace ends at the round before the trip
+    prob = synthesize("heterogeneous", 3, 4, 2, seed=23)
+    cfg = RunConfig(algorithm="gt-sarah", alpha=alpha, B=1, q=3, S=60, seed=8, record_every=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            run(prob, ring_mix(3), cfg)
+    assert str(exc.value) == f"state norm left the finite trust region (> 1e+12) at {where}"
+    partial = exc.value.trace.records
+    assert len(partial) == records
+    assert (partial[-1].s, partial[-1].t) == last
+
+
 def test_check_finite_trips_where_linalg_norm_does():
     limit = 1e12
     rng = np.random.default_rng(26)
@@ -353,6 +373,19 @@ def test_run_rejects_oversized_minibatch():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=27)
     with pytest.raises(ValueError):
         run(prob, ring_mix(3), RunConfig(algorithm="dsgd", alpha=0.1, B=5, steps=5))
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 2)), np.zeros((2, 1)), 0.0],
+                         ids=["short", "row", "column", "scalar"])
+def test_resolve_rejects_misshaped_x0(x0):
+    # one line naming both shapes, before any round; resolve is the CLI's check too
+    prob = synthesize("heterogeneous", 3, 4, 2, seed=27)
+    cfg = RunConfig(algorithm="gt-sarah", alpha=0.1, q=3, S=1, x0=x0)
+    shape = re.escape(f"x0 shape {np.shape(x0)} does not match (p,) = (2,)")
+    with pytest.raises(ValueError, match=f"^{shape}$"):
+        engine.resolve(cfg, prob, 0.5)
+    with pytest.raises(ValueError, match=f"^{shape}$"):
+        run(prob, ring_mix(3), cfg)
 
 
 def test_auto_alpha_resolves_to_complexity_bound():
@@ -417,10 +450,13 @@ def test_rows_drawn_ahead_match_per_round_gather(monkeypatch, family, algorithm,
     monkeypatch.setattr(streams, "ROW_BLOCK_BYTES", 5 * per_round + per_round // 2)
     budget = dict(S=2, q=40) if algorithm == "gt-sarah" else dict(steps=100)
     cfg = RunConfig(algorithm=algorithm, alpha=0.05, B=B, seed=B, record_every=3, **budget)
-    shapes, gather = [], prob.gather
-    prob.gather = lambda idx: shapes.append(idx.shape) or gather(idx)
+    shapes, gather = [], type(prob).gather
+    monkeypatch.setattr(type(prob), "gather",
+                        lambda self, idx: shapes.append(idx.shape) or gather(self, idx))
     ahead = run(prob, ring_mix(4), cfg)
     assert (5, 4, B) in shapes      # one gather served 5 rounds
+    assert (4, B) not in shapes[1:]     # past the streams' size probe, the oracle
+                                        # gathered no round's rows itself
     # the reference: no gather ahead, so the oracle gathers every round's rows
     monkeypatch.setattr(engine, "IndexStreams",
                         lambda rngs, m, B, rounds, gather: streams.IndexStreams(rngs, m, B, rounds))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from decenopt import objective
 from decenopt.data import synthesize
 from decenopt.objective import (LogisticDataset, LogisticProblem, QuadraticProblem, sigmoid,
                                 softplus)
@@ -240,6 +241,28 @@ def test_batch_gradient_is_row_of_batch_gradients_bitwise(make, n, m, p):
         rows = prob.batch_gradients(X)
         for i in range(n):
             assert prob.batch_gradient(i, X[i]).tobytes() == rows[i].tobytes()
+
+
+@pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
+@pytest.mark.parametrize("n, m, p, B", [(10, 1000, 10, 1), (20, 2000, 128, 64),
+                                        (16, 1000, 100, 4), (4, 9, 1, 3)])
+def test_oracles_same_bytes_through_np_einsum(monkeypatch, make, n, m, p, B):
+    # the fallback where numpy has no numpy._core (numpy 1.x): np.einsum calls
+    # the same C entry point, so every oracle keeps every byte
+    prob = make(n, m, p, seed=n + p)
+    rng = np.random.default_rng(B)
+    X = rng.normal(size=(2, n, p)) * 3.0
+    idx = rng.integers(0, m, size=(n, B))
+    points = rng.normal(size=(3, p))
+
+    def oracles():
+        return [prob.minibatch_gradients(X[0], idx), prob.minibatch_gradients(X, idx),
+                prob.batch_gradients(X[0]), prob.batch_gradient(n - 1, X[0, -1]),
+                prob.full_gradient(points[0]), prob.full_gradient(points)]
+
+    c_entry = [g.tobytes() for g in oracles()]
+    monkeypatch.setattr(objective, "_einsum", np.einsum)
+    assert [g.tobytes() for g in oracles()] == c_entry
 
 
 def sparse_problem(family, n, m, p, density, seed):
