@@ -9,7 +9,8 @@ checked for ``correct`` and ``failed``. For each end-to-end metric that
 PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
 values, each side's median and quartiles, the change in the median, how
 many pairs the change won (ties count for neither side) and the
-metric's verdict (see ``verdict``).
+metric's verdict (see ``verdict``). After the table it prints each
+checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {done.returncode}\n"
                          f"{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def line_counts(parent: Path, change: Path) -> str:
+    """Each checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` totals it."""
+    a, b = (sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "decenopt").glob("*.py"))
+            for tree in (parent, change))
+    return f"src/decenopt/*.py lines: parent {a}, change {b} ({b - a:+d})"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -119,6 +127,7 @@ def main(argv=None) -> int:
         print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
               f"{won(a, b, better):>3}/{len(a)}  {verdict(a, b, better, bounds[name])} ({unit})")
+    print(line_counts(args.parent, args.change))
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
     return 0 if ok else 1
 

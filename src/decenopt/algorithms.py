@@ -164,11 +164,6 @@ def gt_sarah_cycle_handoff(state: NetworkState, q: int) -> NetworkState:
 # baselines
 
 def _minibatch(problem, X, B, rngs):
-    # rngs=None selects the deterministic full pass (requires B == m)
-    if rngs is None:
-        if B != problem.m:
-            raise ValueError("full-pass mode requires B = m")
-        return problem.batch_gradients(X), problem.n * problem.m
     return problem.minibatch_gradients(X, *_sample(problem, B, rngs)), problem.n * B
 
 

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import algorithms, data, engine, graph
+from .objective import LogisticProblem
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -133,7 +134,6 @@ class ExperimentConfig:
         rule = _label_rule(d["label_rule"])
         dataset, _ = data.prepare(raw, n, seed=d["seed"], label_rule=rule, reg=d["reg"],
                                   max_samples=d["max_samples"])
-        from .objective import LogisticProblem
         return LogisticProblem(dataset)
 
 

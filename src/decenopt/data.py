@@ -28,15 +28,10 @@ class RawDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    source: str | None = None
 
     @property
     def N(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.features.shape[1]
 
 
 @contextmanager
@@ -53,13 +48,6 @@ def _open_text(target, mode="r"):
     path = os.fsdecode(target)
     with gzip.open(path, mode + "t") if path.endswith(".gz") else open(path, mode) as f:
         yield f
-
-
-def _source_name(source):
-    """The path a parser read, in full, or the name of an open file object."""
-    if isinstance(source, (str, bytes, os.PathLike)):
-        return os.fsdecode(source)
-    return getattr(source, "name", None)
 
 
 def parse_libsvm(source, p: int | None = None) -> RawDataset:
@@ -103,17 +91,7 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
     X = np.zeros((len(labels), dim))
     # assignment runs in order, so a line's last value for a repeated index wins
     X[np.repeat(np.arange(len(labels)), counts), cols - 1] = np.frombuffer(vals)
-    return RawDataset(features=X, labels=np.frombuffer(labels), source=_source_name(source))
-
-
-def serialize_libsvm(dataset: RawDataset, target) -> None:
-    """Write a RawDataset back out in LIBSVM text form (zeros omitted)."""
-    with _open_text(target, "w") as f:
-        for x, y in zip(dataset.features, dataset.labels):
-            toks = [repr(float(y))]
-            for idx in np.nonzero(x)[0]:
-                toks.append(f"{idx + 1}:{float(x[idx])!r}")
-            f.write(" ".join(toks) + "\n")
+    return RawDataset(features=X, labels=np.frombuffer(labels))
 
 
 def parse_csv(source) -> RawDataset:
@@ -136,7 +114,7 @@ def parse_csv(source) -> RawDataset:
     if not labels:
         raise ValueError("csv input needs a header row and at least one sample")
     return RawDataset(features=np.frombuffer(feats).reshape(len(labels), width - 1),
-                      labels=np.frombuffer(labels), source=_source_name(source))
+                      labels=np.frombuffer(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +136,6 @@ def pair_rule(positive, negative):
     return rule
 
 
-# Fashion-MNIST pairing used in the experiments: T-shirt (class 0) vs dress (class 3)
-fashion_mnist_tshirt_vs_dress = pair_rule(0, 3)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Assignment of original sample indices to nodes after prepare()."""
@@ -169,14 +143,6 @@ class Partition:
     node_indices: np.ndarray        # (n, m) original row indices
     dropped_surplus: int
     dropped_zero: int
-
-    @property
-    def n(self) -> int:
-        return self.node_indices.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.node_indices.shape[1]
 
 
 def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,

@@ -49,9 +49,6 @@ class Topology:
             deg[j] += 1
         return deg
 
-    def neighbors(self, i: int) -> list:
-        return sorted({j for a, b in self.edges for j in (a, b) if i in (a, b) and j != i})
-
 
 @dataclass(frozen=True)
 class MixingMatrix:
@@ -62,7 +59,6 @@ class MixingMatrix:
     [0, 1).
     """
 
-    n: int
     entries: np.ndarray
     lam: float
 
@@ -178,7 +174,7 @@ def lazy_metropolis_weights(topo: Topology) -> MixingMatrix:
         m[i, i] = 1.0 - (m[i].sum() - m[i, i])
     entries = (np.eye(n) + m) / 2.0
     lam, _ = spectral_quantities(entries)
-    return MixingMatrix(n=n, entries=entries, lam=lam)
+    return MixingMatrix(entries=entries, lam=lam)
 
 
 def spectral_quantities(entries: np.ndarray) -> tuple:
@@ -209,11 +205,6 @@ class MixingReport:
     primitive: bool
     max_row_deviation: float
     max_col_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return (self.nonnegative and self.rows_stochastic and self.cols_stochastic
-                and self.positive_diagonal and self.primitive)
 
     def lines(self) -> list:
         return [

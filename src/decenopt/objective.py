@@ -295,7 +295,8 @@ class QuadraticProblem(FiniteSumProblem):
     def minibatch_gradients(self, X, indices, rows=None):
         a, c = self.gather(indices) if rows is None else rows
         X = np.asarray(X, dtype=float)
-        return (a * (X[..., None, :] - c)).mean(axis=-2)
+        # the sum and division .mean(axis=-2) makes, without its Python-level wrapper
+        return np.add.reduce(a * (X[..., None, :] - c), axis=-2) / indices.shape[-1]
 
     def minimizer(self) -> np.ndarray:
         return self._b / self._abar

@@ -2,8 +2,11 @@
 
 Everything here recomputes expected values from first principles (finite
 differences, brute-force enumeration, plain reference loops) and must stay
-independent of the library code paths it is used to check.
+independent of the library code paths it is used to check. It also holds
+the LIBSVM writer and the full-pass node streams that tests feed the library.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,6 +20,17 @@ def fd_gradient(fun, x, h=1e-5):
         e[d] = h
         g[d] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def libsvm_text(dataset):
+    """A dataset's rows as LIBSVM text, zeros omitted."""
+    return "".join(" ".join([repr(y)] + [f"{k}:{v!r}" for k, v in enumerate(x, 1) if v]) + "\n"
+                   for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()))
+
+
+def full_pass(n):
+    """n node streams whose every draw is 0..m-1: with B = m, a minibatch is the batch."""
+    return [SimpleNamespace(integers=lambda low, high, size: np.arange(high))] * n
 
 
 def mean_component_gradients(problem, i, x):

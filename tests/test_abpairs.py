@@ -42,3 +42,15 @@ def test_verdict_unresolved_when_parent_spread_exceeds_bound():
 def test_won_counts_ties_for_neither_side():
     assert abpairs.won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
     assert abpairs.won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1
+
+
+def test_line_counts_of_two_trees(tmp_path):
+    # src/decenopt/*.py only, as wc -l counts: a last line with no newline is none
+    for side, files in (("parent", {"a.py": "1\n2\n", "b.py": "3", "sub/c.py": "4\n"}),
+                        ("change", {"a.py": "1\n", "notes.txt": "2\n"})):
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "decenopt" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert (abpairs.line_counts(tmp_path / "parent", tmp_path / "change")
+            == "src/decenopt/*.py lines: parent 2, change 1 (-1)")

@@ -12,7 +12,7 @@ from decenopt.algorithms import (RunConfig, baseline_state, communication_optima
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.streams import INDEX_BLOCK, ROW_BLOCK_BYTES, IndexStreams, node_streams
-from helpers import reference_sarah, reference_sgd
+from helpers import full_pass, reference_sarah, reference_sgd
 
 
 def ring_mix(n):
@@ -236,22 +236,20 @@ def test_dsgd_full_pass_uses_batch_gradients():
     st = baseline_state(np.zeros(2), 3)
     st.x = np.random.default_rng(17).normal(size=(3, 2))
     expected = W @ st.x - 0.2 * prob.batch_gradients(st.x)
-    dsgd_step(st, prob, W, 0.2, prob.m, rngs=None)
+    dsgd_step(st, prob, W, 0.2, prob.m, full_pass(3))
     assert np.array_equal(st.x, expected)
     assert st.counters.grads == 3 * 4
-    with pytest.raises(ValueError):
-        dsgd_step(st, prob, W, 0.2, 2, rngs=None)  # full pass needs B = m
 
 
 @pytest.mark.parametrize("make", [lambda: initial_state(np.zeros(2), 3),
                                   lambda: dsgt_init(baseline_state(np.zeros(2), 3),
                                                     synthesize("heterogeneous", 3, 4, 2, seed=16),
-                                                    4, None)])
+                                                    4, full_pass(3))])
 def test_dsgd_rejects_tracked_state(make):
     # dsgd never tracks: a state carrying a tracker must not be descended along y
     prob = synthesize("heterogeneous", 3, 4, 2, seed=16)
     with pytest.raises(ValueError, match="untracked"):
-        dsgd_step(make(), prob, ring_mix(3).entries, 0.2, prob.m, rngs=None)
+        dsgd_step(make(), prob, ring_mix(3).entries, 0.2, prob.m, full_pass(3))
 
 
 def test_dsgd_zero_step_contracts_consensus():
@@ -291,9 +289,9 @@ def test_dsgt_full_batch_deterministic_tracking_converges():
     prob = synthesize("heterogeneous", 4, 3, 2, seed=22)
     mix = ring_mix(4)
     st = baseline_state(np.zeros(2), 4)
-    dsgt_init(st, prob, prob.m, rngs=None)
+    dsgt_init(st, prob, prob.m, full_pass(4))
     for _ in range(400):
-        dsgt_step(st, prob, mix.entries, 0.2, prob.m, rngs=None)
+        dsgt_step(st, prob, mix.entries, 0.2, prob.m, full_pass(4))
     xbar = st.x.mean(axis=0)
     assert np.linalg.norm(prob.full_gradient(xbar)) <= 1e-9
     assert np.linalg.norm(st.x - xbar) <= 1e-9

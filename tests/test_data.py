@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from decenopt.data import (Partition, RawDataset, fashion_mnist_tshirt_vs_dress, pair_rule,
-                           parse_csv, parse_libsvm, prepare, serialize_libsvm, sign_rule,
+from decenopt.data import (RawDataset, pair_rule, parse_csv, parse_libsvm, prepare, sign_rule,
                            synthesize)
 from decenopt.objective import LogisticProblem, QuadraticProblem
+from helpers import libsvm_text
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def test_parse_libsvm_empty_feature_list():
 
 def test_parse_libsvm_infers_dimension():
     ds = parse_libsvm(io.StringIO("1 5:1\n-1 2:4\n"))
-    assert ds.p == 5
+    assert ds.features.shape == (2, 5)
 
 
 def test_parse_libsvm_errors_name_line():
@@ -73,9 +73,7 @@ def test_libsvm_roundtrip():
     X[3] = 0.0  # all-zero row survives the round trip
     y = rng.choice([-1.0, 1.0], size=20)
     ds = RawDataset(features=X, labels=y)
-    buf = io.StringIO()
-    serialize_libsvm(ds, buf)
-    back = parse_libsvm(io.StringIO(buf.getvalue()), p=6)
+    back = parse_libsvm(io.StringIO(libsvm_text(ds)), p=6)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
 
@@ -86,7 +84,6 @@ def test_parse_libsvm_gzip(tmp_path):
         f.write("1 1:2.5\n-1 2:1.5\n")
     ds = parse_libsvm(str(path))
     assert np.array_equal(ds.features, [[2.5, 0.0], [0.0, 1.5]])
-    assert ds.source == str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +121,15 @@ def test_parse_csv_gzip(tmp_path):
     assert np.array_equal(ds.features, [[1.5, 0.0]])
 
 
-@pytest.mark.parametrize("parse, text", [(parse_libsvm, "1 1:2.5\n-1 2:1.5\n"),
-                                         (parse_csv, "f1,f2,y\n2.5,0.0,1\n")],
+@pytest.mark.parametrize("parse, text, features",
+                         [(parse_libsvm, "1 1:2.5\n-1 2:1.5\n", [[2.5, 0.0], [0.0, 1.5]]),
+                          (parse_csv, "f1,f2,y\n2.5,0.0,1\n", [[2.5, 0.0]])],
                          ids=["libsvm", "csv"])
-def test_parsers_record_full_path_of_path_like_source(tmp_path, parse, text):
+def test_parsers_read_path_like_sources(tmp_path, parse, text, features):
     path = tmp_path / "toy.txt"
     path.write_text(text)
-    from_path, from_str, from_bytes = parse(path), parse(str(path)), parse(os.fsencode(path))
-    assert from_path.source == from_str.source == from_bytes.source == str(path)
-    assert np.array_equal(from_path.features, from_str.features)
-    assert np.array_equal(from_bytes.features, from_str.features)
+    for source in (path, str(path), os.fsencode(path)):
+        assert np.array_equal(parse(source).features, features)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +139,6 @@ def test_label_rules():
     assert sign_rule(3.0) == 1 and sign_rule(-2.0) == -1 and sign_rule(0.0) == -1
     rule = pair_rule(0, 3)
     assert rule(0) == 1 and rule(3) == -1 and rule(5) is None
-    assert fashion_mnist_tshirt_vs_dress(0) == 1
-    assert fashion_mnist_tshirt_vs_dress(3) == -1
-    assert fashion_mnist_tshirt_vs_dress(7) is None
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,3 @@ def test_synthesize_validation():
         synthesize("homogeneous", 0, 2, 2, seed=0)
     with pytest.raises(ValueError):
         synthesize("homogeneous", 2, 2, 2, seed=0, family="cubic")
-
-
-def test_partition_properties():
-    part = Partition(node_indices=np.arange(6).reshape(2, 3), dropped_surplus=0, dropped_zero=0)
-    assert part.n == 2 and part.m == 3

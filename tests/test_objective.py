@@ -350,6 +350,18 @@ def test_logistic_oracles_match_reference_bitwise(n, B, p):
             assert prob.batch_gradient(i, Y[i]).tobytes() == got[i].tobytes()
 
 
+@pytest.mark.parametrize("n, m, p, B", [(10, 30, 10, 1), (20, 200, 128, 64), (3, 9, 7, 3)])
+def test_quadratic_minibatch_matches_mean_bitwise(n, m, p, B):
+    prob = random_quadratic(n, m, p, seed=n + B)
+    rng = np.random.default_rng(p)
+    idx = rng.integers(0, m, size=(n, B))
+    a, c = prob.gather(idx)
+    X = rng.normal(size=(2, n, p)) * 3.0
+    for points in (X[0], X):        # averaged as ndarray.mean(axis=-2) averages
+        want = (a * (points[..., None, :] - c)).mean(axis=-2)
+        assert prob.minibatch_gradients(points, idx).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # smoothness
 

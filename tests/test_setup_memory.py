@@ -16,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decenopt.data import RawDataset, parse_libsvm, prepare, serialize_libsvm, synthesize
+from decenopt.data import RawDataset, parse_libsvm, prepare, synthesize
 from decenopt.engine import def33_term
+from helpers import libsvm_text
 
 # two classes, one zero row (line 5), one duplicate index (line 2: 3:2.0 wins)
 FIXED_LIBSVM = ("# two classes, one zero row, one duplicate index\n"
@@ -102,7 +103,7 @@ def test_prepare_peak_memory():
 
 def test_parse_libsvm_peak_memory(tmp_path):
     path = tmp_path / "raw.libsvm"
-    serialize_libsvm(raw_set(), path)       # a path: a StringIO would hold the text too
+    path.write_text(libsvm_text(raw_set()))     # a path: a StringIO would hold the text too
     raw, peak = traced_peak(lambda: parse_libsvm(path))
     assert raw.features.shape == (4000, 50)
     ratio = peak / raw.features.nbytes
