@@ -11,6 +11,9 @@ values, each side's median and quartiles, the change in the median, how
 many pairs the change won (ties count for neither side) and the
 metric's verdict (see ``verdict``). After the table it prints each
 checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it.
+
+It exits 1 if any run fails the correctness gate, else 2 if any metric's
+verdict is ``worse``, since no end-to-end metric may get worse, else 0.
 """
 
 from __future__ import annotations
@@ -120,16 +123,22 @@ def main(argv=None) -> int:
           f"seeds {','.join(map(str, args.seeds))}")
     print(f"{'metric':<20} {'parent p25/med/p75':>30} {'change p25/med/p75':>30} "
           f"{'change':>8} {'won':>6}  verdict")
+    worse = []
     for name, unit, better in metrics:
         a, b = values["parent"][name], values["change"][name]
         qa, qb = quartiles(a), quartiles(b)
         rel = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
+        judged = verdict(a, b, better, bounds[name])
+        if judged == "worse":
+            worse.append(name)
         print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
-              f"{won(a, b, better):>3}/{len(a)}  {verdict(a, b, better, bounds[name])} ({unit})")
+              f"{won(a, b, better):>3}/{len(a)}  {judged} ({unit})")
     print(line_counts(args.parent, args.change))
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
-    return 0 if ok else 1
+    if worse:
+        print("WORSE THAN THE PARENT BEYOND ITS BOUND: " + ", ".join(worse))
+    return 1 if not ok else 2 if worse else 0
 
 
 if __name__ == "__main__":

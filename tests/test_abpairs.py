@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,29 @@ def test_line_counts_of_two_trees(tmp_path):
             path.write_text(text)
     assert (abpairs.line_counts(tmp_path / "parent", tmp_path / "change")
             == "src/decenopt/*.py lines: parent 2, change 1 (-1)")
+
+
+@pytest.mark.parametrize("change, correct, want", [
+    ({"wall_s": 1.0, "rounds_per_s": 100.0}, True, 0),
+    ({"wall_s": 1.5, "rounds_per_s": 100.0}, True, 2),       # wall_s 50 % worse
+    ({"wall_s": 1.0, "rounds_per_s": 50.0}, True, 2),        # half the rate
+    ({"wall_s": 1.5, "rounds_per_s": 100.0}, False, 1),      # a failed run outranks it
+])
+def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsys,
+                                                    change, correct, want):
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+        {"name": "rounds_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}]}))
+    runs = {"parent": {"wall_s": 1.0, "rounds_per_s": 100.0}, "change": change}
+
+    def bench(checkout, workload, seed, seconds):
+        side = checkout.name
+        return {"correct": correct or side == "parent", "failed": 0, "attempted": 1,
+                "metrics": {name: {"value": v} for name, v in runs[side].items()}}
+
+    monkeypatch.setattr(abpairs, "bench", bench)
+    code = abpairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--workload", "toy", "--seeds", "0-9"])
+    assert code == want
+    assert ("WORSE THAN THE PARENT" in capsys.readouterr().out) == (change != runs["parent"])

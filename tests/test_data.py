@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from decenopt import data
 from decenopt.data import (RawDataset, pair_rule, parse_csv, parse_libsvm, prepare, sign_rule,
                            synthesize)
 from decenopt.objective import LogisticProblem, QuadraticProblem
@@ -84,6 +85,138 @@ def test_parse_libsvm_gzip(tmp_path):
         f.write("1 1:2.5\n-1 2:1.5\n")
     ds = parse_libsvm(str(path))
     assert np.array_equal(ds.features, [[2.5, 0.0], [0.0, 1.5]])
+
+
+# Block parsing: canonical blocks go through np.loadtxt, all others through the
+# per-line reference loop, which must decide every outcome the same way.
+NUMBERS = ["1", "-1", "0", "-0", "+2", ".5", "5.", "+.5e+3", "1e400", "-1e400", "4.9e-324",
+           "2.5E-330", "007", "12345678901234567890.5e-3", "1.7976931348623157e308"]
+VALID_ODD_LINES = [
+    "# a comment", "", "   ", "\t", "1 2:3\r", "1 2:3\r4:5", "nan 1:2", "1 2:inf", "-inf 2:nan",
+    "1_0 1:2", "1 1_0:2", "1 2:1_5", "1 +3:4", "1 " + "3".zfill(16) + ":1", "  -1 2:3", "1",
+    "1 3:4 3:-5", "1 2:\u0663", "1\u00a02:3\u20034:5", "1\x0b2:3", "1 2:3 \x0c",
+]
+BAD_LINES = {
+    "1 0:5": "line {n}: feature index 0 (indices are 1-based)",
+    "1 00:5": "line {n}: feature index 0 (indices are 1-based)",
+    "1 -3:5": "line {n}: feature index -3 (indices are 1-based)",
+    "1 " + "9" * 20 + ":1": "line {n}: feature index " + "9" * 20 + " is too large",
+    "1 x": "line {n}: malformed feature 'x'",
+    "1 5 2:3": "line {n}: malformed feature '5'",
+    "1:2 3:4": "line {n}: label '1:2' is not numeric",
+    "1 :5": "line {n}: malformed feature ':5'",
+    "1 3:": "line {n}: malformed feature '3:'",
+    "1 1.5:2": "line {n}: malformed feature '1.5:2'",
+    "1 1e2:3": "line {n}: malformed feature '1e2:3'",
+    "1 2:3:4": "line {n}: malformed feature '2:3:4'",
+    "1 2::4": "line {n}: malformed feature '2::4'",
+    "1e 1:2": "line {n}: label '1e' is not numeric",
+    "- 1:2": "line {n}: label '-' is not numeric",
+    "1 2:.": "line {n}: malformed feature '2:.'",
+    # each compensated by a token too many, so the count of numbers holds
+    "1:2 3": "line {n}: label '1:2' is not numeric",
+    "\t1:2 3": "line {n}: label '1:2' is not numeric",
+    "1 3: 7": "line {n}: malformed feature '3:'",
+    "1 :5 7": "line {n}: malformed feature ':5'",
+    "\n1 2:3 7": "line {n}: malformed feature '7'",
+    # a 16-digit index is not an exact float
+    "1 9007199254740993:1": "feature index 9007199254740993 exceeds declared dimension 64",
+}
+
+
+def canonical_line(rng, features=None):
+    count = int(rng.integers(0, 6)) if features is None else features
+    gaps = [" ", "\t", "  ", " \t "]
+    tokens = [str(rng.choice(NUMBERS)) if rng.random() < 0.3 else repr(float(rng.normal()))]
+    for idx in rng.integers(1, 40, size=count):
+        value = str(rng.choice(NUMBERS)) if rng.random() < 0.2 else repr(float(rng.normal()))
+        tokens.append(f"{idx}:{value}")
+    return "".join(tok + str(rng.choice(gaps)) for tok in tokens[:-1]) + tokens[-1] + \
+        str(rng.choice(["", " ", "\t"]))
+
+
+def libsvm_lines(rng, rows, odd=0.05):
+    return [str(rng.choice(VALID_ODD_LINES)) if rng.random() < odd else canonical_line(rng)
+            for _ in range(rows)]
+
+
+def parsed(source, p=None):
+    try:
+        ds = parse_libsvm(source, p)
+    except ValueError as exc:
+        return str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def reference(text, monkeypatch, p=None):
+    """The per-line helper over the whole text, then parse_libsvm's dense fill."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_canonical", lambda block: None)
+        m.setattr(data, "LINE_BLOCK_CHARS", len(text) + 1)
+        return parsed(io.StringIO(text), p)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """LINE_BLOCK_CHARS at 60, noting for each block whether it took the fast path."""
+    monkeypatch.setattr(data, "LINE_BLOCK_CHARS", 60)
+    taken = []
+    fast = data._parse_canonical
+
+    def noted(block):
+        rows = fast(block)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(data, "_parse_canonical", noted)
+    return taken
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_libsvm_blocks_match_per_line_reference(seed, small_blocks, monkeypatch, tmp_path):
+    rng = np.random.default_rng(seed)
+    lines = libsvm_lines(rng, 300)
+    lines.insert(int(rng.integers(0, 300)), canonical_line(rng, features=30))  # > a block
+    text = "\n".join(lines) + str(rng.choice(["", "\n"]))    # maybe no newline at the end
+    want = reference(text, monkeypatch)
+    assert not isinstance(want, str)
+    assert parsed(io.StringIO(text)) == want
+    assert True in small_blocks and False in small_blocks
+    # \r\n line ends, read through a StringIO (no translation) and from disk
+    crlf = text.replace("\n", "\r\n")
+    assert parsed(io.StringIO(crlf)) == reference(crlf, monkeypatch)
+    path = tmp_path / "crlf.libsvm"
+    path.write_bytes(crlf.encode())
+    with open(path) as f:
+        assert parsed(path) == reference(f.read(), monkeypatch)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LINES))
+def test_parse_libsvm_blocks_raise_per_line_message(bad, small_blocks, monkeypatch):
+    rng = np.random.default_rng(len(bad))
+    lines = libsvm_lines(rng, 80)
+    at = int(rng.integers(40, 80))
+    lines.insert(at, bad)
+    text = "\n".join(lines) + "\n"
+    want = BAD_LINES[bad].format(n=at + 1 + bad.count("\n"))
+    assert reference(text, monkeypatch, p=64) == want
+    assert parsed(io.StringIO(text), p=64) == want
+
+
+@pytest.mark.parametrize("kind", ["path", "gz", "file"])
+def test_parse_libsvm_error_in_late_block_names_its_line(kind, small_blocks, tmp_path):
+    early = ["# comments and blank lines fill the first blocks", "", "1 1:2", "   ", "# c"] * 20
+    text = "\n".join(early + ["-1 2:3 4:5"] * 50 + ["1 2:3 7:x"] + ["1 1:1"] * 5) + "\n"
+    path = tmp_path / ("data.libsvm.gz" if kind == "gz" else "data.libsvm")
+    with gzip.open(path, "wt") if kind == "gz" else open(path, "w") as f:
+        f.write(text)
+    with pytest.raises(ValueError, match="^line 151: malformed feature '7:x'$"):
+        if kind == "file":
+            with open(path) as f:
+                parse_libsvm(f)
+        else:
+            parse_libsvm(path)
+    assert True in small_blocks and False in small_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +339,20 @@ def test_prepare_rejects_bad_rule():
     raw = toy_raw(6)
     with pytest.raises(ValueError, match="label rule"):
         prepare(raw, n=2, seed=6, label_rule=lambda label: 2)
+
+
+def test_prepare_calls_rule_once_per_distinct_label_in_file_order():
+    labels = np.array([5.0, 7.0, 3.0, 7.0, 5.0, 3.0])
+    raw = RawDataset(features=np.ones((6, 2)), labels=labels)
+    calls = []
+    rule = {5.0: 1, 7.0: -1, 3.0: None}
+    ds, part = prepare(raw, n=2, seed=6, label_rule=lambda y: calls.append(y) or rule[y])
+    assert calls == [5.0, 7.0, 3.0]
+    assert sorted(part.node_indices.ravel()) == [0, 1, 3, 4]
+    # the first sample in file order with an invalid value names it, not the smallest label
+    bad = {5.0: 1, 7.0: "seven", 3.0: "three"}
+    with pytest.raises(ValueError, match="^label rule must map to \\+1, -1 or None, got 'seven'$"):
+        prepare(raw, n=2, seed=6, label_rule=lambda y: bad[y])
 
 
 def test_prepare_max_samples_cap():
