@@ -10,7 +10,11 @@ PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
 values, each side's median and quartiles, the change in the median, how
 many pairs the change won (ties count for neither side) and the
 metric's verdict (see ``verdict``). After the table it prints each
-checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it.
+checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it. The
+last line of its output is one JSON object with all of that: the
+workload, seeds and seconds, every pair's values, each metric's
+quartiles, change, wins and verdict, both line counts and whether every
+run was correct.
 
 It exits 1 if any run fails the correctness gate, else 2 if any metric's
 verdict is ``worse``, since no end-to-end metric may get worse, else 0.
@@ -46,10 +50,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def src_lines(tree: Path) -> int:
+    """A checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` totals it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "decenopt").glob("*.py"))
+
+
 def line_counts(parent: Path, change: Path) -> str:
-    """Each checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` totals it."""
-    a, b = (sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "decenopt").glob("*.py"))
-            for tree in (parent, change))
+    a, b = src_lines(parent), src_lines(change)
     return f"src/decenopt/*.py lines: parent {a}, change {b} ({b - a:+d})"
 
 
@@ -106,12 +113,15 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = ("parent", "change")
     values = {side: {name: [] for name, _, _ in metrics} for side in sides}
+    pairs = []
     ok = True
     for k, seed in enumerate(args.seeds):
         order = sides if k % 2 == 0 else sides[::-1]
+        pairs.append({"seed": seed, "first": order[0]})
         for side in order:
             out = bench(getattr(args, side), args.workload, seed, args.seconds)
             ok &= bool(out["correct"]) and out["failed"] == 0
+            pairs[-1][side] = {name: out["metrics"][name]["value"] for name, _, _ in metrics}
             for name, _, _ in metrics:
                 values[side][name].append(out["metrics"][name]["value"])
             print(f"pair {k} seed {seed} {side}: correct={out['correct']} "
@@ -124,6 +134,7 @@ def main(argv=None) -> int:
     print(f"{'metric':<20} {'parent p25/med/p75':>30} {'change p25/med/p75':>30} "
           f"{'change':>8} {'won':>6}  verdict")
     worse = []
+    summary = {}
     for name, unit, better in metrics:
         a, b = values["parent"][name], values["change"][name]
         qa, qb = quartiles(a), quartiles(b)
@@ -131,6 +142,10 @@ def main(argv=None) -> int:
         judged = verdict(a, b, better, bounds[name])
         if judged == "worse":
             worse.append(name)
+        summary[name] = {"unit": unit, "better": better, "bound": bounds[name],
+                         "parent_p25_med_p75": qa, "change_p25_med_p75": qb,
+                         "median_change": rel if qa[1] else None,
+                         "won": won(a, b, better), "pairs": len(a), "verdict": judged}
         print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
               f"{won(a, b, better):>3}/{len(a)}  {judged} ({unit})")
@@ -138,6 +153,11 @@ def main(argv=None) -> int:
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
     if worse:
         print("WORSE THAN THE PARENT BEYOND ITS BOUND: " + ", ".join(worse))
+    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
+                      "pairs": pairs, "metrics": summary,
+                      "src_lines": {"parent": src_lines(args.parent),
+                                    "change": src_lines(args.change)},
+                      "correct": ok}))
     return 1 if not ok else 2 if worse else 0
 
 

@@ -141,8 +141,12 @@ def _label_rule(spec: str):
     if spec == "sign":
         return data.sign_rule
     if spec.startswith("pair:"):
-        pos, neg = spec[5:].split(",")
-        return data.pair_rule(float(pos), float(neg))
+        try:
+            pos, neg = map(float, spec[5:].split(","))
+        except ValueError:          # not two numbers
+            pass
+        else:
+            return data.pair_rule(pos, neg)
     raise ConfigError(f"unknown label rule {spec!r} (use 'sign' or 'pair:POS,NEG')")
 
 
@@ -197,6 +201,8 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
         del spec[key]
     if synthetic and (spec["m"] is None or spec["p"] is None):
         raise ConfigError("[data] synthetic source needs m and p")
+    if not synthetic and spec["format"] not in ("libsvm", "csv"):
+        raise ConfigError(f"[data] format = {spec['format']!r} is not 'libsvm' or 'csv'")
     if not synthetic and not os.path.exists(spec["source"]):
         raise ConfigError(f"data file not found: {spec['source']}")
 

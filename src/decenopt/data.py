@@ -1,10 +1,10 @@
 """Dataset ingestion and synthetic problem generators.
 
 LIBSVM ("label idx:val ...", 1-based indices) and CSV (header row, last
-column label) readers densify into a RawDataset; ``prepare`` then
-binarizes labels, unit-normalizes features, and deals samples evenly
-across nodes. ``synthesize`` builds self-contained problems with known
-structure for oracle testing and experiments that need exact optima.
+column label) readers make a RawDataset of compressed and dense rows;
+``prepare`` binarizes labels, unit-normalizes features and deals samples
+evenly across nodes. ``synthesize`` builds self-contained problems with
+known structure for oracle testing and experiments that need exact optima.
 """
 
 from __future__ import annotations
@@ -22,16 +22,49 @@ from .objective import LogisticDataset, LogisticProblem, QuadraticProblem
 from .streams import substream
 
 
-@dataclass(frozen=True)
 class RawDataset:
-    """Dense feature matrix (N, p) with raw (pre-binarization) labels (N,)."""
+    """Feature rows (N, p) with raw (pre-binarization) labels (N,).
 
-    features: np.ndarray
-    labels: np.ndarray
+    The rows are dense, ``RawDataset(features=X, labels=y)``, or compressed
+    as ``parse_libsvm`` reads them: ``RawDataset(labels=y, compressed=(starts,
+    cols, vals, p))``, where row k's 0-based columns and values are
+    ``cols[starts[k]:starts[k + 1]]`` and ``vals[...]`` in file order, so
+    the last value for a repeated column wins. ``features`` and ``rows``
+    give the same dense bytes in either form; for compressed rows they are
+    built on each access, never kept.
+    """
+
+    def __init__(self, features=None, labels=None, *, compressed=None):
+        self.labels = labels
+        self._dense = features
+        self._compressed = compressed
 
     @property
     def N(self) -> int:
-        return self.features.shape[0]
+        return len(self.labels)
+
+    @property
+    def p(self) -> int:
+        return self._dense.shape[1] if self._dense is not None else self._compressed[3]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._dense if self._dense is not None else self.rows(slice(None))
+
+    def rows(self, index) -> np.ndarray:
+        """Dense rows (k, p) by a 1-D index array or a slice."""
+        if self._dense is not None:
+            return self._dense[index]
+        starts, cols, vals, p = self._compressed
+        first = starts[:-1][index]
+        counts = starts[1:][index] - first
+        # each selected nonzero's place in cols and vals, row by row in file order
+        at = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        at += np.arange(at.size)
+        out = np.zeros((first.size, p))
+        # assignment runs in order, so a line's last value for a repeated index wins
+        out[np.repeat(np.arange(first.size), counts), cols[at]] = vals[at]
+        return out
 
 
 @contextmanager
@@ -66,13 +99,13 @@ _TO_SPACES = bytes.maketrans(b"\t:\n", b"   ")
 
 
 def parse_libsvm(source, p: int | None = None) -> RawDataset:
-    """Parse sparse LIBSVM text into dense vectors.
+    """Parse sparse LIBSVM text into compressed rows.
 
     Dimension is the largest index seen unless ``p`` is declared. Raises
     ValueError naming the offending line for malformed input; index 0 is
     rejected (the format is 1-based).
     """
-    # 16 B per nonzero (index, value) while reading, then one dense fill
+    # 16 B per nonzero (index, value), kept compressed for prepare
     labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
     lineno = 1
     with _open_text(source) as f:
@@ -89,10 +122,11 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
     dim = p if p is not None else max_idx
     if max_idx > dim:
         raise ValueError(f"feature index {max_idx} exceeds declared dimension {dim}")
-    X = np.zeros((len(labels), dim))
-    # assignment runs in order, so a line's last value for a repeated index wins
-    X[np.repeat(np.arange(len(labels)), counts), cols - 1] = np.frombuffer(vals)
-    return RawDataset(features=X, labels=np.frombuffer(labels))
+    cols -= 1                                   # 0-based, in place on the parse buffer
+    starts = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(counts, dtype=np.int64), out=starts[1:])
+    return RawDataset(labels=np.frombuffer(labels),
+                      compressed=(starts, cols, np.frombuffer(vals), dim))
 
 
 def _line_blocks(f):
@@ -232,6 +266,10 @@ def pair_rule(positive, negative):
     return rule
 
 
+# dense rows scanned for zero vectors at a time
+ZERO_SCAN_BYTES = 256 * 1024
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of original sample indices to nodes after prepare()."""
@@ -256,6 +294,8 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     """
     if n < 1:
         raise ValueError("node count must be positive")
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     # one rule call per distinct label, on its first sample and in file order,
     # so an invalid value is reported for the first sample that has one
     _, first, inverse = np.unique(raw.labels, return_index=True, return_inverse=True)
@@ -269,8 +309,13 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
         codes[j] = r
     mapped = codes[inverse]
     keep = mapped != 0
-    # a sum of squares is 0 exactly when the norm is, and einsum makes no N x p temporary
-    zero = keep & (np.einsum("kd,kd->k", raw.features, raw.features) == 0)
+    # a sum of squares is 0 exactly when the norm is; dense rows a block at a time
+    step = max(1, ZERO_SCAN_BYTES // (8 * max(1, raw.p)))
+    zero = np.empty(raw.N, dtype=bool)
+    for a in range(0, raw.N, step):
+        block = raw.rows(slice(a, a + step))
+        zero[a:a + step] = np.einsum("kd,kd->k", block, block) == 0
+    zero &= keep
     if zero.any():
         warnings.warn(f"dropping {int(zero.sum())} zero feature vectors "
                       "(cannot be unit-normalized)", stacklevel=2)
@@ -285,7 +330,10 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
         raise ValueError(f"{order.size} usable samples cannot cover {n} nodes")
     surplus = order.size - n * m
     assign = order[:n * m].reshape(n, m)
-    feats = _normalize_rows(raw.features[assign])
+    feats = np.empty((n, m, raw.p))
+    for block, rows in zip(feats, assign):
+        block[...] = raw.rows(rows)
+    _normalize_rows(feats)
     labels = mapped[assign].astype(float)
     if (labels == 1).all() or (labels == -1).all():
         warnings.warn("label rule left a single class; the classification task is degenerate",

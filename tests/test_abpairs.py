@@ -80,4 +80,22 @@ def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsy
     code = abpairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                          "--workload", "toy", "--seeds", "0-9"])
     assert code == want
-    assert ("WORSE THAN THE PARENT" in capsys.readouterr().out) == (change != runs["parent"])
+    out = capsys.readouterr().out
+    assert ("WORSE THAN THE PARENT" in out) == (change != runs["parent"])
+    # the last line sums the run up as one JSON object
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["workload"], summary["seeds"], summary["seconds"]) == \
+        ("toy", list(range(10)), 30.0)
+    assert summary["correct"] is correct
+    assert summary["src_lines"] == {"parent": 0, "change": 0}
+    assert [pair["first"] for pair in summary["pairs"][:2]] == ["parent", "change"]
+    assert all(pair["parent"] == runs["parent"] and pair["change"] == change
+               for pair in summary["pairs"])
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent_p25_med_p75"] == [1.0, 1.0, 1.0]
+    assert wall["change_p25_med_p75"] == [change["wall_s"]] * 3
+    assert wall["median_change"] == pytest.approx(change["wall_s"] - 1.0)
+    assert (wall["won"], wall["pairs"]) == (0, 10)
+    assert wall["verdict"] == ("worse" if change["wall_s"] > 1.0 else "no change")
+    assert {name: m["unit"] for name, m in summary["metrics"].items()} == \
+        {"wall_s": "s", "rounds_per_s": "1/s"}

@@ -348,8 +348,8 @@ def test_multiple_sections_same_algorithm(tmp_path):
     assert os.path.exists(os.path.join(out, "dsgt-slow_r0.csv"))
 
 
-def test_config_file_data_source(tmp_path):
-    # libsvm-backed experiment end to end
+def file_source_config(tmp_path, keys="format = libsvm\nlabel_rule = sign"):
+    """BASE_CONFIG on a 40-row, 3-feature LIBSVM file, with ``keys`` in [data]."""
     data_path = tmp_path / "toy.libsvm"
     rng = np.random.default_rng(3)
     lines = []
@@ -359,10 +359,31 @@ def test_config_file_data_source(tmp_path):
     data_path.write_text("\n".join(lines) + "\n")
     text = BASE_CONFIG.replace(
         "source = synthetic\nfamily = quadratic\nkind = heterogeneous\nm = 8\np = 3",
-        f"source = {data_path}\nformat = libsvm\nlabel_rule = sign")
-    cfg, out = write_config(tmp_path, text)
+        f"source = {data_path}\n{keys}")
+    return write_config(tmp_path, text)
+
+
+def test_config_file_data_source(tmp_path):
+    # libsvm-backed experiment end to end
+    cfg, out = file_source_config(tmp_path)
     assert main(["run", "--config", cfg]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "gt-sarah_r0.csv"))
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("format = json", "[data] format = 'json' is not 'libsvm' or 'csv'"),
+    ("max_samples = -1", "max_samples must be at least 1, got -1"),
+    ("max_samples = 0", "max_samples must be at least 1, got 0"),
+] + [(f"label_rule = {rule}", f"unknown label rule {rule!r} (use 'sign' or 'pair:POS,NEG')")
+     for rule in ("pair:1", "pair:a,b", "pair:1,2,3")],
+    ids=["format=json", "max_samples=-1", "max_samples=0", "pair:1", "pair:a,b", "pair:1,2,3"])
+def test_bad_file_source_key_is_config_error(tmp_path, capsys, keys, message):
+    cfg, out = file_source_config(tmp_path, keys)
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == f"config error: {message}\n"
+    assert printed.out == ""
+    assert not os.path.exists(out)
 
 
 def test_run_auto_alpha_convergence_smoke(tmp_path, capsys):

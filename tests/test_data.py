@@ -361,6 +361,13 @@ def test_prepare_max_samples_cap():
     assert part.node_indices.size == 12
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_prepare_max_samples_below_one_is_an_error(cap):
+    # -1 would otherwise slice off the last shuffled sample and carry on
+    with pytest.raises(ValueError, match=f"^max_samples must be at least 1, got {cap}$"):
+        prepare(toy_raw(30), n=3, seed=9, max_samples=cap)
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

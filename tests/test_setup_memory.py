@@ -11,12 +11,15 @@ coefficient array instead.
 """
 
 import hashlib
+import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from decenopt.data import RawDataset, parse_libsvm, prepare, synthesize
+from decenopt import data
+from decenopt.data import RawDataset, pair_rule, parse_libsvm, prepare, synthesize
 from decenopt.engine import def33_term
 from helpers import libsvm_text
 
@@ -65,6 +68,44 @@ def test_parse_and_prepare_bytes_pinned(tmp_path):
         "f59518089b87b5f8a82328aa13dde0900392c16e8de2a3592d33905254ad70c3"
 
 
+def prepared(raw, n, **kwargs):
+    """prepare's outputs and warnings as bytes and values, or its error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            dataset, part = prepare(raw, n, **kwargs)
+        except ValueError as exc:
+            return str(exc)
+    return (dataset.features.shape, dataset.features.tobytes(), dataset.labels.tobytes(),
+            part.node_indices.shape, part.node_indices.tobytes(), part.dropped_surplus,
+            part.dropped_zero, [(w.category, str(w.message)) for w in caught])
+
+
+@pytest.mark.parametrize("text, p, n, kwargs", [
+    (FIXED_LIBSVM, None, 2, {}),
+    (FIXED_LIBSVM, 9, 3, {}),                                   # p wider than the largest index
+    (FIXED_LIBSVM, None, 2, {"max_samples": 5}),
+    ("1 1:2 2:3 2:0\n-1 2:4 2:0\n1 1:-1\n-1 2:1 1:0.5\n", None, 2, {}),  # last value 0 wins
+    ("1 3:1e-200\n-1 1:1\n1 2:1e-200 1:1e-170\n-1 2:2\n1 1:3\n", None, 2, {}),  # squares underflow
+    ("1\n-1 1:1\n1\n-1 2:1\n1 1:1 2:1\n", None, 2, {}),       # label-only lines
+    ("1 1:1\n2 2:1\n3 1:2\n1 2:2\n3 1:3\n2 1:1 2:1\n", None, 2,
+     {"label_rule": pair_rule(1, 2)}),                          # 3 is dropped
+    ("1 1:1\n-1 2:1\n", None, 3, {}),                           # too few samples
+], ids=["fixed", "wide-p", "max-samples", "last-zero", "underflow", "label-only", "pair",
+        "too-few"])
+def test_prepare_on_compressed_rows_equals_dense(text, p, n, kwargs, monkeypatch):
+    raw = parse_libsvm(io.StringIO(text), p)
+    dense = RawDataset(features=raw.features, labels=raw.labels)
+    assert raw.features is not raw.features             # built on access, never kept
+    for seed, scan in ((0, data.ZERO_SCAN_BYTES), (1, 16), (2, 100)):   # 1 or a few rows a block
+        monkeypatch.setattr(data, "ZERO_SCAN_BYTES", scan)
+        assert prepared(raw, n, seed=seed, **kwargs) == prepared(dense, n, seed=seed, **kwargs)
+    rng = np.random.default_rng(0)
+    for index in (rng.integers(0, raw.N, size=7), np.arange(raw.N)[::-1], np.arange(0),
+                  slice(1, 4), slice(None), slice(raw.N, None)):
+        assert raw.rows(index).tobytes() == dense.rows(index).tobytes()
+
+
 def traced_peak(build):
     """(result of build(), peak bytes traced while it ran).
 
@@ -108,6 +149,17 @@ def test_parse_libsvm_peak_memory(tmp_path):
     assert raw.features.shape == (4000, 50)
     ratio = peak / raw.features.nbytes
     assert ratio <= 2.5
+
+
+def test_parse_and_prepare_peak_memory(tmp_path):
+    # the compressed rows, the dealt features and one node block's temporaries:
+    # no file-order dense matrix beside the node-ordered one
+    path = tmp_path / "raw.libsvm"
+    path.write_text(libsvm_text(raw_set(N=8000, p=100, density=0.2)))
+    (dataset, _), peak = traced_peak(lambda: prepare(parse_libsvm(path), 16, seed=0))
+    assert dataset.features.shape == (16, 500, 100)
+    ratio = peak / dataset.features.nbytes
+    assert ratio <= 1.8
 
 
 def test_def33_term_peak_memory():
