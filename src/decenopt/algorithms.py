@@ -90,26 +90,24 @@ def _round(state: NetworkState, W: np.ndarray, alpha: float, d: np.ndarray,
     return state
 
 
-def sample_indices(rngs, m: int, B: int) -> np.ndarray:
+def sample_indices(rngs: IndexStreams, m: int, B: int) -> np.ndarray:
     """(n, B) component indices, B i.i.d. uniform draws per node with replacement.
 
     Each node draws from its own stream, so the result does not depend on
-    the order in which nodes are processed. ``rngs`` is a list of per-node
-    generators or an IndexStreams drawing ahead from them for this (m, B).
+    the order in which nodes are processed. ``rngs`` must draw ahead for
+    this (m, B), else ValueError.
     """
-    if isinstance(rngs, IndexStreams):
-        if (rngs.m, rngs.B) != (m, B):
-            raise ValueError(f"index streams draw (m={rngs.m}, B={rngs.B}), "
-                             f"asked for (m={m}, B={B})")
-        return rngs.take()
-    return np.stack([rng.integers(0, m, size=B) for rng in rngs])
+    if (rngs.m, rngs.B) != (m, B):
+        raise ValueError(f"index streams draw (m={rngs.m}, B={rngs.B}), "
+                         f"asked for (m={m}, B={B})")
+    return rngs.take()
 
 
 def _sample(problem, B, rngs):
     # the indices, and the rows an IndexStreams gathered ahead for them with
     # this problem's gather (else None: the oracle gathers them itself)
     idx = sample_indices(rngs, problem.m, B)
-    return idx, (rngs.rows if getattr(rngs, "owner", None) is problem else None)
+    return idx, (rngs.rows if rngs.owner is problem else None)
 
 
 def sarah_estimator(problem, X, X_prev, V_prev, indices, rows=None) -> np.ndarray:
@@ -124,8 +122,6 @@ def gt_sarah_outer_init(state: NetworkState, problem, W: np.ndarray, alpha: floa
     Costs n*m component gradients and one communication round. Requires the
     state at (t=0, s) carrying y^{0,s} and v^{-1,s} (zeros at s=1).
     """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
     if state.t != 0:
         raise ValueError(f"outer init requires t=0, state is at t={state.t}")
     return _round(state, W, alpha, problem.batch_gradients(state.x), problem.n * problem.m)
@@ -138,8 +134,6 @@ def gt_sarah_inner_step(state: NetworkState, problem, W: np.ndarray, alpha: floa
     Costs 2*n*B component gradients (each sampled index is evaluated at the
     current and the previous state) and one communication round.
     """
-    if not 1 <= B <= problem.m:
-        raise ValueError(f"minibatch size {B} outside [1, {problem.m}]")
     if state.t < 1 or state.x_prev is None:
         raise ValueError("inner step requires a completed outer init")
     v = sarah_estimator(problem, state.x, state.x_prev, state.v, *_sample(problem, B, rngs))
@@ -316,7 +310,9 @@ class RunConfig:
     alpha may be the string "auto", which resolves to
     max_stepsize(..., variant="complexity"). For gt-sarah give S (outer
     cycles) or epochs; for dsgd/dsgt give steps or epochs, where one epoch
-    is m component gradients per node. q defaults to m for gt-sarah.
+    is m component gradients per node; the budget key the method does not
+    use (steps for gt-sarah, S for the others) is a ValueError. q defaults
+    to m for gt-sarah.
     """
 
     algorithm: str
@@ -338,6 +334,9 @@ class RunConfig:
         for name in ("B", "q", "S", "steps", "record_every", "def33_every"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        other = "steps" if self.algorithm == "gt-sarah" else "S"
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other} does not apply to {self.algorithm}")
         if self.epochs is not None and self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if isinstance(self.alpha, str):

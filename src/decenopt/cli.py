@@ -359,7 +359,7 @@ def main(argv=None) -> int:
                    help="master seed of the sampling streams (overrides [experiment] seed; "
                         "[data] seed still defaults to the file's [experiment] seed)")
     r.add_argument("--replicates", type=int, help="replicate count (overrides config)")
-    r.add_argument("--workers", type=int, help="parallel replicate workers")
+    r.add_argument("--workers", type=int, help="threads running the jobs (overrides config)")
     r.add_argument("--dump-config", action="store_true",
                    help="echo the canonical config and exit")
     r.set_defaults(func=cmd_run)

@@ -288,6 +288,8 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     is shuffled with the given seed, optionally capped at ``max_samples``,
     and truncated to m = floor(kept / n) samples per node. ``label_rule`` is
     called once per distinct label (labels that compare equal share a call).
+    A dealt vector whose squares are subnormal, not zero, cannot be
+    unit-normalized either: a ValueError names its sample.
 
     Returns (LogisticDataset, Partition); a fixed (raw, n, seed, rule)
     yields a byte-identical partition.
@@ -338,7 +340,15 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     if (labels == 1).all() or (labels == -1).all():
         warnings.warn("label rule left a single class; the classification task is degenerate",
                       stacklevel=2)
-    dataset = LogisticDataset(features=feats, labels=labels, reg=reg)
+    try:
+        dataset = LogisticDataset(features=feats, labels=labels, reg=reg)
+    except ValueError:
+        # a row whose squares are subnormal, not zero, keeps a norm off 1
+        off = np.abs(np.linalg.norm(feats, axis=2) - 1.0) > 1e-9
+        if off.any():
+            raise ValueError(f"sample {assign[off].min()} (0-based, in file order) cannot "
+                             "be unit-normalized") from None
+        raise
     return dataset, Partition(node_indices=assign, dropped_surplus=int(surplus),
                               dropped_zero=int(zero.sum()))
 

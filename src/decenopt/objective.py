@@ -49,16 +49,16 @@ class FiniteSumProblem:
 
     Attributes n, m, p give the shape (nodes, components per node,
     dimension); L is a valid mean-squared smoothness modulus. Subclasses
-    provide the component oracles (the tests' independent references),
-    node i's local gradient ``batch_gradient(i, x)`` and the oracles the
-    engine calls: ``batch_gradients(X)`` (row i: node i's local gradient at
-    X[i]), ``minibatch_gradients(X, indices)`` (row i: mean of node i's
-    component gradients at X[i] over the B draws indices[i], which may
-    repeat; X may also stack k points as (k, n, p), giving (k, n, p) from
-    one gather; ``rows``, if given, is ``gather(indices)`` made ahead, or
-    views of it), ``gather(indices)`` (the tuple of sampled rows that
-    oracle reads), ``full_gradient(x)`` (x may also stack r points as
-    (r, p), each row equal to its own call) and ``full_value(x)``.
+    provide the component oracles (the tests' independent references) and
+    the oracles the engine calls: ``batch_gradients(X)`` (row i: node i's
+    local gradient at X[i], its only oracle), ``minibatch_gradients(X,
+    indices)`` (row i: mean of node i's component gradients at X[i] over
+    the B draws indices[i], which may repeat; X may also stack k points as
+    (k, n, p), giving (k, n, p) from one gather; ``rows``, if given, is
+    ``gather(indices)`` made ahead, or views of it), ``gather(indices)``
+    (the tuple of sampled rows that oracle reads), ``full_gradient(x)`` (x
+    may also stack r points as (r, p), each row equal to its own call) and
+    ``full_value(x)``.
     """
 
     n: int
@@ -71,10 +71,6 @@ class FiniteSumProblem:
 
     def component_gradient(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check_node(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node index {i} out of range [0, {self.n})")
 
     def dissimilarity_at(self, x: np.ndarray) -> float:
         """(1/n) sum_i ||grad f_i(x) - grad F(x)||^2 at one point.
@@ -138,16 +134,15 @@ class LogisticProblem(FiniteSumProblem):
     Component loss at (i, j): log(1 + exp(-(x . theta_{i,j}) xi_{i,j})) plus
     the bounded regularizer r(x) = R sum_d x_d^2 / (1 + x_d^2). With
     unit-norm features the loss curvature is at most 1/4 and the
-    regularizer curvature at most 2R, giving the default L = 1/4 + 2R;
-    pass ``L`` to override.
+    regularizer curvature at most 2R, giving L = 1/4 + 2R.
     """
 
-    def __init__(self, dataset: LogisticDataset, L: float | None = None):
+    def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
         self.n = dataset.n
         self.m = dataset.m
         self.p = dataset.p
-        self.L = float(L) if L is not None else 0.25 + 2.0 * dataset.reg
+        self.L = 0.25 + 2.0 * dataset.reg
         self._rows = np.arange(self.n)[:, None]
         self._neg_labels = -dataset.labels
         self._two_reg = 2.0 * dataset.reg
@@ -186,14 +181,6 @@ class LogisticProblem(FiniteSumProblem):
         # a node with m = 1 has its component gradient as its batch gradient
         margin = float(_einsum("p,p->", theta, x)) * xi
         return -xi * float(sigmoid(-margin)) * theta + self._reg_gradient(x)
-
-    def batch_gradient(self, i, x):
-        self._check_node(i)
-        d = self.dataset
-        x = np.asarray(x, dtype=float)
-        # node i's row of batch_gradients, byte for byte: the same einsums
-        coeff = _coefficients(_einsum("mp,p->m", d.features[i], x), self._neg_labels[i])
-        return self._mean_plus_reg(_einsum("m,mp->p", coeff, d.features[i]), self.m, x)
 
     def full_value(self, x):
         d = self.dataset
@@ -270,11 +257,6 @@ class QuadraticProblem(FiniteSumProblem):
 
     def component_gradient(self, i, j, x):
         return self.curvatures[i, j] * (np.asarray(x, dtype=float) - self.centers[i, j])
-
-    def batch_gradient(self, i, x):
-        self._check_node(i)
-        a = self.curvatures[i]
-        return (a * (np.asarray(x, dtype=float) - self.centers[i])).mean(axis=0)
 
     def full_gradient(self, x):
         return self._abar * np.asarray(x, dtype=float) - self._b

@@ -54,7 +54,6 @@ class IndexStreams:
     """
 
     def __init__(self, rngs, m: int, B: int, rounds: int | None = None, gather=None):
-        self.rngs = rngs
         self.m = m
         self.B = B
         self.owner = getattr(gather, "__self__", None)

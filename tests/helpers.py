@@ -3,7 +3,8 @@
 Everything here recomputes expected values from first principles (finite
 differences, brute-force enumeration, plain reference loops) and must stay
 independent of the library code paths it is used to check. It also holds
-the LIBSVM writer and the full-pass node streams that tests feed the library.
+the LIBSVM writer, the full-pass node streams that tests feed the library,
+and the per-round index draw that the library's streams must reproduce.
 """
 
 from types import SimpleNamespace
@@ -31,6 +32,11 @@ def libsvm_text(dataset):
 def full_pass(n):
     """n node streams whose every draw is 0..m-1: with B = m, a minibatch is the batch."""
     return [SimpleNamespace(integers=lambda low, high, size: np.arange(high))] * n
+
+
+def per_round_indices(rngs, m, B):
+    """(n, B) indices from one rng.integers(0, m, size=B) call per node generator."""
+    return np.stack([rng.integers(0, m, size=B) for rng in rngs])
 
 
 def mean_component_gradients(problem, i, x):

@@ -17,7 +17,7 @@ from decenopt.cli import EXIT_OK, main
 from decenopt.data import synthesize
 from decenopt.engine import outer_iteration_bound, run
 from decenopt.graph import build_topology, lazy_metropolis_weights
-from decenopt.streams import node_streams
+from decenopt.streams import IndexStreams, node_streams
 from helpers import reference_sarah
 
 
@@ -68,9 +68,9 @@ def test_02_cost_accounting_exact():
 def test_03_tracking_conservation():
     prob = synthesize("heterogeneous", 8, 40, 4, seed=33)
     W = lazy_metropolis_weights(build_topology("ring", 8)).entries
-    rngs = node_streams(44, 8)
-    st = initial_state(np.zeros(4), 8)
     q, B, alpha = 20, 2, 0.05
+    rngs = IndexStreams(node_streams(44, 8), prob.m, B)
+    st = initial_state(np.zeros(4), 8)
     worst = 0.0
     for s in range(3):
         gt_sarah_outer_init(st, prob, W, alpha)
@@ -89,7 +89,7 @@ def test_03_tracking_conservation():
 def test_04_centralized_reduction():
     prob = synthesize("homogeneous", 1, 20, 4, seed=11, family="logistic")
     alpha, B, q, S = 0.3, 2, 49, 20           # S (q+1) = 1000 iterates
-    rngs = node_streams(123, 1)
+    rngs = IndexStreams(node_streams(123, 1), prob.m, B)
     st = initial_state(np.zeros(4), 1)
     impl = []
     for s in range(1, S + 1):
@@ -114,7 +114,7 @@ def test_05_sarah_conditional_unbiasedness():
     v_prev = rng.normal(size=(1, 3))
     mean_v = np.mean([sarah_estimator(prob, x_now, x_prev, v_prev, np.array([[j]]))
                       for j in range(12)], axis=0)
-    expected = (prob.batch_gradient(0, x_now[0]) - prob.batch_gradient(0, x_prev[0])
+    expected = (prob.batch_gradients(x_now)[0] - prob.batch_gradients(x_prev)[0]
                 + v_prev[0])
     dev = np.abs(mean_v[0] - expected).max()
     _report("05 SARAH conditional unbiasedness", dev <= 1e-12, f"max dev {dev:.3e}")
@@ -172,8 +172,8 @@ def test_08_outer_iteration_bound_realized():
     alpha = max_stepsize(4, B, q, mix.lam, prob.L, "complexity")
     x0 = np.zeros(prob.p)
     f0 = prob.full_value(x0)
-    grad_sq_mean = float(np.mean([np.sum(prob.batch_gradient(i, x0) ** 2)
-                                  for i in range(prob.n)]))
+    grad_sq_mean = float(np.mean([np.sum(g ** 2)
+                                  for g in prob.batch_gradients(np.tile(x0, (prob.n, 1)))]))
     S = outer_iteration_bound(f0, prob.optimal_value(), grad_sq_mean, alpha, q, prob.L, eps)
     tr = run(prob, mix, RunConfig(algorithm="gt-sarah", alpha=alpha, B=B, q=q, S=S,
                                   seed=5, def33_every=1, record_every=10 ** 9))

@@ -12,7 +12,7 @@ from decenopt.algorithms import (RunConfig, baseline_state, communication_optima
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.streams import INDEX_BLOCK, ROW_BLOCK_BYTES, IndexStreams, node_streams
-from helpers import full_pass, reference_sarah, reference_sgd
+from helpers import full_pass, per_round_indices, reference_sarah, reference_sgd
 
 
 def ring_mix(n):
@@ -39,7 +39,7 @@ def test_outer_init_single_node_is_batch_descent():
     prob = synthesize("heterogeneous", 1, 6, 2, seed=1)
     x0 = np.array([0.4, -1.0])
     st = initial_state(x0, 1)
-    g = prob.batch_gradient(0, x0)
+    g = prob.batch_gradients(np.tile(x0, (1, 1)))[0]
     gt_sarah_outer_init(st, prob, np.array([[1.0]]), alpha=0.25)
     assert np.allclose(st.y[0], g, atol=1e-16)
     assert np.allclose(st.x[0], x0 - 0.25 * g, atol=1e-16)
@@ -82,7 +82,7 @@ def test_inner_step_frozen_state_keeps_estimator():
     # x^t = x^{t-1} (W = I, alpha = 0): v^t = v^{t-1} bitwise
     prob = synthesize("heterogeneous", 3, 5, 2, seed=5)
     st = initial_state(np.zeros(2), 3)
-    rngs = node_streams(9, 3)
+    rngs = IndexStreams(node_streams(9, 3), prob.m, 2)
     gt_sarah_outer_init(st, prob, np.eye(3), alpha=0.0)
     v_before = st.v.copy()
     for _ in range(4):
@@ -107,7 +107,7 @@ def test_inner_step_counters_and_validation():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=8)
     W = ring_mix(3).entries
     st = initial_state(np.zeros(2), 3)
-    rngs = node_streams(1, 3)
+    rngs = IndexStreams(node_streams(1, 3), prob.m, 2)
     with pytest.raises(ValueError):
         gt_sarah_inner_step(st, prob, W, 0.1, 1, rngs)  # before outer init
     gt_sarah_outer_init(st, prob, W, 0.1)
@@ -115,13 +115,13 @@ def test_inner_step_counters_and_validation():
     assert st.counters.grads == 3 * 4 + 2 * 3 * 2
     assert st.counters.rounds == 2
     with pytest.raises(ValueError):
-        gt_sarah_inner_step(st, prob, W, 0.1, 5, rngs)  # B > m
+        gt_sarah_inner_step(st, prob, W, 0.1, 5, rngs)  # the streams draw B = 2
 
 
 def test_tracking_conservation_through_cycles():
     prob = synthesize("heterogeneous", 4, 6, 3, seed=9)
     W = ring_mix(4).entries
-    rngs = node_streams(13, 4)
+    rngs = IndexStreams(node_streams(13, 4), prob.m, 2)
     st = initial_state(np.zeros(3), 4)
 
     def check(s):
@@ -141,7 +141,7 @@ def test_tracking_conservation_through_cycles():
 def test_handoff_carries_fields():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=10)
     W = ring_mix(3).entries
-    rngs = node_streams(2, 3)
+    rngs = IndexStreams(node_streams(2, 3), prob.m, 1)
     st = drive_cycle(prob, W, initial_state(np.zeros(2), 3), 0.1, 1, 3, rngs)
     x, y, v = st.x.copy(), st.y.copy(), st.v.copy()
     gt_sarah_cycle_handoff(st, 3)
@@ -163,7 +163,7 @@ def test_two_cycle_replay_is_deterministic():
     W = ring_mix(3).entries
 
     def trajectory():
-        rngs = node_streams(21, 3)
+        rngs = IndexStreams(node_streams(21, 3), prob.m, 1)
         st = initial_state(np.zeros(2), 3)
         out = []
         for s in range(2):
@@ -183,7 +183,7 @@ def test_two_cycle_replay_is_deterministic():
 def test_gt_sarah_single_node_matches_reference_sarah():
     prob = synthesize("homogeneous", 1, 12, 3, seed=13, family="logistic")
     alpha, B, q, S = 0.4, 2, 9, 20
-    rngs = node_streams(31, 1)
+    rngs = IndexStreams(node_streams(31, 1), prob.m, B)
     st = initial_state(np.zeros(3), 1)
     impl = []
     for s in range(1, S + 1):
@@ -199,7 +199,7 @@ def test_gt_sarah_single_node_matches_reference_sarah():
 
 def test_dsgd_single_node_matches_reference_sgd():
     prob = synthesize("homogeneous", 1, 8, 3, seed=14, family="logistic")
-    rngs = node_streams(41, 1)
+    rngs = IndexStreams(node_streams(41, 1), prob.m, 2)
     st = baseline_state(np.zeros(3), 1)
     impl = []
     for _ in range(200):
@@ -213,7 +213,7 @@ def test_dsgd_single_node_matches_reference_sgd():
 def test_dsgt_single_node_matches_reference_sgd():
     # with W = [1] the tracker telescopes to the latest gradient: plain SGD
     prob = synthesize("homogeneous", 1, 8, 3, seed=15, family="logistic")
-    rngs = node_streams(51, 1)
+    rngs = IndexStreams(node_streams(51, 1), prob.m, 2)
     st = baseline_state(np.zeros(3), 1)
     dsgt_init(st, prob, 2, rngs)
     impl = []
@@ -236,7 +236,7 @@ def test_dsgd_full_pass_uses_batch_gradients():
     st = baseline_state(np.zeros(2), 3)
     st.x = np.random.default_rng(17).normal(size=(3, 2))
     expected = W @ st.x - 0.2 * prob.batch_gradients(st.x)
-    dsgd_step(st, prob, W, 0.2, prob.m, full_pass(3))
+    dsgd_step(st, prob, W, 0.2, prob.m, IndexStreams(full_pass(3), prob.m, prob.m))
     assert np.array_equal(st.x, expected)
     assert st.counters.grads == 3 * 4
 
@@ -244,12 +244,13 @@ def test_dsgd_full_pass_uses_batch_gradients():
 @pytest.mark.parametrize("make", [lambda: initial_state(np.zeros(2), 3),
                                   lambda: dsgt_init(baseline_state(np.zeros(2), 3),
                                                     synthesize("heterogeneous", 3, 4, 2, seed=16),
-                                                    4, full_pass(3))])
+                                                    4, IndexStreams(full_pass(3), 4, 4))])
 def test_dsgd_rejects_tracked_state(make):
     # dsgd never tracks: a state carrying a tracker must not be descended along y
     prob = synthesize("heterogeneous", 3, 4, 2, seed=16)
     with pytest.raises(ValueError, match="untracked"):
-        dsgd_step(make(), prob, ring_mix(3).entries, 0.2, prob.m, full_pass(3))
+        dsgd_step(make(), prob, ring_mix(3).entries, 0.2, prob.m,
+                  IndexStreams(full_pass(3), prob.m, prob.m))
 
 
 def test_dsgd_zero_step_contracts_consensus():
@@ -257,7 +258,7 @@ def test_dsgd_zero_step_contracts_consensus():
     mix = ring_mix(5)
     st = baseline_state(np.zeros(2), 5)
     st.x = np.random.default_rng(19).normal(size=(5, 2))
-    rngs = node_streams(3, 5)
+    rngs = IndexStreams(node_streams(3, 5), prob.m, 1)
     for _ in range(10):
         before = np.linalg.norm(st.x - st.x.mean(axis=0))
         dsgd_step(st, prob, mix.entries, 0.0, 1, rngs)
@@ -268,7 +269,7 @@ def test_dsgd_zero_step_contracts_consensus():
 def test_dsgt_tracker_average_telescopes():
     prob = synthesize("heterogeneous", 4, 5, 3, seed=20)
     W = ring_mix(4).entries
-    rngs = node_streams(7, 4)
+    rngs = IndexStreams(node_streams(7, 4), prob.m, 2)
     st = baseline_state(np.zeros(3), 4)
     dsgt_init(st, prob, 2, rngs)
     for _ in range(50):
@@ -282,16 +283,18 @@ def test_dsgt_requires_init():
     prob = synthesize("heterogeneous", 2, 3, 2, seed=21)
     st = baseline_state(np.zeros(2), 2)
     with pytest.raises(ValueError):
-        dsgt_step(st, prob, ring_mix(2).entries, 0.1, 1, node_streams(1, 2))
+        dsgt_step(st, prob, ring_mix(2).entries, 0.1, 1,
+                  IndexStreams(node_streams(1, 2), prob.m, 1))
 
 
 def test_dsgt_full_batch_deterministic_tracking_converges():
     prob = synthesize("heterogeneous", 4, 3, 2, seed=22)
     mix = ring_mix(4)
     st = baseline_state(np.zeros(2), 4)
-    dsgt_init(st, prob, prob.m, full_pass(4))
+    rngs = IndexStreams(full_pass(4), prob.m, prob.m)
+    dsgt_init(st, prob, prob.m, rngs)
     for _ in range(400):
-        dsgt_step(st, prob, mix.entries, 0.2, prob.m, full_pass(4))
+        dsgt_step(st, prob, mix.entries, 0.2, prob.m, rngs)
     xbar = st.x.mean(axis=0)
     assert np.linalg.norm(prob.full_gradient(xbar)) <= 1e-9
     assert np.linalg.norm(st.x - xbar) <= 1e-9
@@ -299,12 +302,11 @@ def test_dsgt_full_batch_deterministic_tracking_converges():
 
 
 def test_sample_indices_shape_and_order_independence():
-    rngs = node_streams(5, 3)
-    idx = sample_indices(rngs, 10, 4)
+    idx = sample_indices(IndexStreams(node_streams(5, 3), 10, 4), 10, 4)
     assert idx.shape == (3, 4)
     assert ((0 <= idx) & (idx < 10)).all()
     # node 2's draws do not depend on whether nodes 0..1 drew first
-    solo = node_streams(5, 3)[2].integers(0, 10, size=4)
+    solo = per_round_indices(node_streams(5, 3)[2:], 10, 4)[0]
     assert np.array_equal(idx[2], solo)
 
 
@@ -315,7 +317,7 @@ def test_index_streams_match_per_round_draws(m, B):
     ahead = IndexStreams(node_streams(8, 3), m, B)
     rngs = node_streams(8, 3)
     for _ in range(2 * (INDEX_BLOCK // B) + 3):
-        assert np.array_equal(sample_indices(ahead, m, B), sample_indices(rngs, m, B))
+        assert np.array_equal(sample_indices(ahead, m, B), per_round_indices(rngs, m, B))
     with pytest.raises(ValueError, match="asked for"):
         sample_indices(ahead, m, B + 1)
 
@@ -370,7 +372,7 @@ def test_rows_drawn_ahead_serve_only_their_problem(B):
     for rngs in (IndexStreams(node_streams(4, 3), 8, B, gather=other.gather),
                  IndexStreams(node_streams(4, 3), 8, B, gather=prob.gather)):
         st, ref = initial_state(np.ones(2), 3), initial_state(np.ones(2), 3)
-        plain = node_streams(4, 3)
+        plain = IndexStreams(node_streams(4, 3), 8, B)
         for state, streams in ((st, rngs), (ref, plain)):
             gt_sarah_outer_init(state, prob, W, 0.1)
             for _ in range(5):
@@ -527,3 +529,14 @@ def test_runconfig_rejects_nonpositive_def33_cadence():
     # checked through the CLI in test_cli.py
     with pytest.raises(ValueError, match=r"^def33_every must be at least 1, got 0$"):
         RunConfig(algorithm="dsgd", steps=5, def33_every=0)
+
+
+@pytest.mark.parametrize("algorithm, budget", [
+    ("dsgd", dict(S=5, epochs=1)), ("dsgt", dict(S=5, steps=3)),
+    ("gt-sarah", dict(steps=7, epochs=3)), ("gt-sarah", dict(S=2, steps=7)),
+])
+def test_runconfig_rejects_budget_key_of_other_method(algorithm, budget):
+    # resolve would fill in the method's own budget and silently keep this one
+    key = "steps" if algorithm == "gt-sarah" else "S"
+    with pytest.raises(ValueError, match=f"^{key} does not apply to {algorithm}$"):
+        RunConfig(algorithm=algorithm, **budget)

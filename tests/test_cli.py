@@ -164,6 +164,23 @@ def test_run_nonpositive_budget_or_cadence_is_config_error(tmp_path, capsys, old
 
 
 @pytest.mark.parametrize("old, new, section, key", [
+    ("epochs = 3", "epochs = 3\nS = 5", "dsgt", "S"),
+    ("S = 3", "S = 3\nsteps = 7", "gt-sarah", "steps"),
+    ("epochs = 3", "epochs = 3\n\n[dsgd]\nalpha = 0.1\nS = 5\nepochs = 1", "dsgd", "S"),
+], ids=["dsgt-S", "gt-sarah-steps", "dsgd-S"])
+def test_budget_key_of_other_method_is_config_error(tmp_path, capsys, old, new, section, key):
+    # a budget the method does not use would be silently ignored
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == (f"config error: section [{section}]: "
+                               f"{key} does not apply to {section}\n")
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, section, key", [
     ("alpha = 0.1", "alfa = 0.1", "dsgt", "alfa"),
     ("q = 8", "q = 8\ndef33_every = 1", "gt-sarah", "def33_every"),
     ("m = 8", "m = 8\nsamples = 8", "data", "samples"),
@@ -382,6 +399,22 @@ def test_bad_file_source_key_is_config_error(tmp_path, capsys, keys, message):
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     printed = capsys.readouterr()
     assert printed.err == f"config error: {message}\n"
+    assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+def test_unnormalizable_sample_is_config_error(tmp_path, capsys):
+    # a row whose squares are subnormal, not zero, cannot be scaled to unit length
+    data_path = tmp_path / "tiny.libsvm"
+    data_path.write_text("1 1:1e-160\n-1 1:1\n1 2:1\n-1 2:2\n")
+    text = BASE_CONFIG.replace(
+        "source = synthetic\nfamily = quadratic\nkind = heterogeneous\nm = 8\np = 3",
+        f"source = {data_path}")
+    cfg, out = write_config(tmp_path, text)
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == ("config error: sample 0 (0-based, in file order) "
+                           "cannot be unit-normalized\n")
     assert printed.out == ""
     assert not os.path.exists(out)
 

@@ -368,6 +368,21 @@ def test_prepare_max_samples_below_one_is_an_error(cap):
         prepare(toy_raw(30), n=3, seed=9, max_samples=cap)
 
 
+def test_prepare_names_the_sample_that_cannot_be_unit_normalized():
+    # squares of 1e-160 are subnormal, not zero: the row is kept, and its norm
+    # is too coarse to scale it to unit length; those of 1e-155 are not
+    ok, _ = prepare(parse_libsvm(io.StringIO("1 1:1e-155\n-1 1:1\n1 2:1\n-1 2:2\n")), 2, seed=0)
+    assert np.abs(np.linalg.norm(ok.features, axis=2) - 1.0).max() <= 1e-9
+    message = "^sample {} \\(0-based, in file order\\) cannot be unit-normalized$"
+    with pytest.raises(ValueError, match=message.format(0)):
+        prepare(parse_libsvm(io.StringIO("1 1:1e-160\n-1 1:1\n1 2:1\n-1 2:2\n")), 2, seed=0)
+    # counted in file order, past a dropped zero row
+    raw = parse_libsvm(io.StringIO("1 1:0\n1 1:1e-155\n-1 1:1\n1 2:1e-160\n-1 2:2\n"))
+    with pytest.warns(UserWarning, match="zero feature"), \
+            pytest.raises(ValueError, match=message.format(3)):
+        prepare(raw, 2, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

@@ -457,9 +457,11 @@ def test_rows_drawn_ahead_match_per_round_gather(monkeypatch, family, algorithm,
     assert (5, 4, B) in shapes      # one gather served 5 rounds
     assert (4, B) not in shapes[1:]     # past the streams' size probe, the oracle
                                         # gathered no round's rows itself
-    # the reference: no gather ahead, so the oracle gathers every round's rows
-    monkeypatch.setattr(engine, "IndexStreams",
-                        lambda rngs, m, B, rounds, gather: streams.IndexStreams(rngs, m, B, rounds))
+    # the reference: no room for two rounds, so the streams gather nothing ahead
+    # and the oracle gathers every round's rows
+    monkeypatch.setattr(streams, "ROW_BLOCK_BYTES", 0)
+    shapes.clear()
     per_round_gather = run(prob, ring_mix(4), cfg)
+    assert set(shapes) == {(4, B)}
     assert csv_text(ahead) == csv_text(per_round_gather)
     assert ahead.final_x.tobytes() == per_round_gather.final_x.tobytes()

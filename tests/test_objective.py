@@ -16,6 +16,11 @@ def single_sample_problem(theta, xi, reg):
         features=theta.reshape(1, 1, -1), labels=np.array([[float(xi)]]), reg=reg))
 
 
+def local_gradient(prob, i, x):
+    """Node i's local gradient at x: row i of batch_gradients at the tiled point."""
+    return prob.batch_gradients(np.tile(x, (prob.n, 1)))[i]
+
+
 def random_logistic(n, m, p, seed, reg=1e-3):
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=(n, m, p))
@@ -94,8 +99,6 @@ def test_component_index_out_of_range():
     prob = random_logistic(2, 3, 4, seed=4)
     with pytest.raises(IndexError):
         prob.component_gradient(5, 0, np.zeros(4))
-    with pytest.raises(IndexError):
-        prob.batch_gradient(2, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +107,14 @@ def test_component_index_out_of_range():
 def test_batch_gradient_m1_equals_component():
     prob = random_logistic(2, 1, 3, seed=5)
     x = np.array([0.3, -0.2, 1.1])
-    assert np.array_equal(prob.batch_gradient(0, x), prob.component_gradient(0, 0, x))
+    assert np.array_equal(local_gradient(prob, 0, x), prob.component_gradient(0, 0, x))
 
 
 def test_batch_gradient_identical_components():
     theta = np.tile(np.array([3.0, 4.0]) / 5.0, (1, 4, 1))
     prob = LogisticProblem(LogisticDataset(features=theta, labels=np.ones((1, 4)), reg=0.0))
     x = np.array([0.1, -0.7])
-    assert np.allclose(prob.batch_gradient(0, x), prob.component_gradient(0, 2, x), atol=1e-16)
+    assert np.allclose(local_gradient(prob, 0, x), prob.component_gradient(0, 2, x), atol=1e-16)
 
 
 def test_batch_gradient_three_component_sum():
@@ -119,7 +122,7 @@ def test_batch_gradient_three_component_sum():
     x = np.random.default_rng(7).normal(size=4)
     g = (prob.component_gradient(0, 0, x) + prob.component_gradient(0, 1, x)
          + prob.component_gradient(0, 2, x)) / 3
-    assert np.allclose(prob.batch_gradient(0, x), g, atol=1e-16)
+    assert np.allclose(local_gradient(prob, 0, x), g, atol=1e-16)
 
 
 def test_batch_gradient_matches_direct_mean():
@@ -127,20 +130,20 @@ def test_batch_gradient_matches_direct_mean():
                  synthesize("heterogeneous", 2, 7, 3, seed=8)):
         x = np.random.default_rng(9).normal(size=3)
         for i in range(prob.n):
-            assert np.allclose(prob.batch_gradient(i, x),
+            assert np.allclose(local_gradient(prob, i, x),
                                mean_component_gradients(prob, i, x), rtol=1e-12)
 
 
 def test_full_gradient_single_node():
     prob = random_logistic(1, 5, 3, seed=10)
     x = np.random.default_rng(11).normal(size=3)
-    assert np.allclose(prob.full_gradient(x), prob.batch_gradient(0, x), atol=1e-16)
+    assert np.allclose(prob.full_gradient(x), local_gradient(prob, 0, x), atol=1e-16)
 
 
 def test_full_gradient_identical_nodes():
     prob = synthesize("homogeneous", 4, 5, 3, seed=12)
     x = np.random.default_rng(13).normal(size=3)
-    assert np.allclose(prob.full_gradient(x), prob.batch_gradient(2, x), rtol=1e-13)
+    assert np.allclose(prob.full_gradient(x), local_gradient(prob, 2, x), rtol=1e-13)
 
 
 def test_full_gradient_two_node_quadratic_midpoint():
@@ -160,7 +163,7 @@ def test_stacked_oracles_match_rowwise():
     X = rng.normal(size=(3, 4))
     stacked = prob.batch_gradients(X)
     for i in range(3):
-        assert np.allclose(stacked[i], prob.batch_gradient(i, X[i]), rtol=1e-13)
+        assert np.allclose(stacked[i], local_gradient(prob, i, X[i]), rtol=1e-13)
     idx = rng.integers(0, 6, size=(3, 2))
     mb = prob.minibatch_gradients(X, idx)
     for i in range(3):
@@ -232,18 +235,6 @@ def test_minibatch_gradients_pre_gathered_rows_bitwise(make, n, m, p, B):
 
 
 @pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
-@pytest.mark.parametrize("n, m, p", [(3, 13, 2), (10, 1000, 10), (5, 7, 128), (20, 200, 128)])
-def test_batch_gradient_is_row_of_batch_gradients_bitwise(make, n, m, p):
-    prob = make(n, m, p, seed=n + p)
-    rng = np.random.default_rng(m)
-    for scale in (1.0, 30.0):
-        X = rng.normal(size=(n, p)) * scale
-        rows = prob.batch_gradients(X)
-        for i in range(n):
-            assert prob.batch_gradient(i, X[i]).tobytes() == rows[i].tobytes()
-
-
-@pytest.mark.parametrize("make", [random_logistic, random_quadratic], ids=["logistic", "quadratic"])
 @pytest.mark.parametrize("n, m, p, B", [(10, 1000, 10, 1), (20, 2000, 128, 64),
                                         (16, 1000, 100, 4), (4, 9, 1, 3)])
 def test_oracles_same_bytes_through_np_einsum(monkeypatch, make, n, m, p, B):
@@ -257,8 +248,8 @@ def test_oracles_same_bytes_through_np_einsum(monkeypatch, make, n, m, p, B):
 
     def oracles():
         return [prob.minibatch_gradients(X[0], idx), prob.minibatch_gradients(X, idx),
-                prob.batch_gradients(X[0]), prob.batch_gradient(n - 1, X[0, -1]),
-                prob.full_gradient(points[0]), prob.full_gradient(points)]
+                prob.batch_gradients(X[0]), prob.full_gradient(points[0]),
+                prob.full_gradient(points)]
 
     c_entry = [g.tobytes() for g in oracles()]
     monkeypatch.setattr(objective, "_einsum", np.einsum)
@@ -347,7 +338,7 @@ def test_logistic_oracles_match_reference_bitwise(n, B, p):
         got = prob.batch_gradients(Y)
         assert got.tobytes() == logistic_oracle_reference(prob, Y).tobytes()
         for i in range(n):
-            assert prob.batch_gradient(i, Y[i]).tobytes() == got[i].tobytes()
+            assert local_gradient(prob, i, Y[i]).tobytes() == got[i].tobytes()
 
 
 @pytest.mark.parametrize("n, m, p, B", [(10, 30, 10, 1), (20, 200, 128, 64), (3, 9, 7, 3)])
@@ -370,11 +361,6 @@ def test_smoothness_constants():
     assert random_logistic(1, 2, 2, seed=16, reg=0.001).L == pytest.approx(0.252)
     quad = QuadraticProblem(np.full((2, 3, 2), 0.5), np.zeros((2, 3, 2)))
     assert quad.L == 0.5
-
-
-def test_smoothness_override():
-    prob = LogisticProblem(random_logistic(1, 2, 2, seed=16).dataset, L=1.5)
-    assert prob.L == 1.5
 
 
 def test_mean_squared_smoothness_sampled():
@@ -412,8 +398,8 @@ def test_dissimilarity_two_node_formula():
     c[1, 0] = [-1.0, 2.0]
     prob = QuadraticProblem(np.ones((2, 1, 2)), c)
     x = np.array([0.4, -0.3])
-    a = prob.batch_gradient(0, x)
-    b = prob.batch_gradient(1, x)
+    a = local_gradient(prob, 0, x)
+    b = local_gradient(prob, 1, x)
     assert prob.dissimilarity_at(x) == pytest.approx(np.sum(((a - b) / 2) ** 2), rel=1e-12)
 
 
