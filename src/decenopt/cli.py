@@ -50,23 +50,23 @@ def cmd_weights(args) -> int:
     try:
         topo = _build_topology_from_spec(args.kind, args.size)
         mix = graph.lazy_metropolis_weights(topo)
-    except (ValueError, OSError) as exc:
+        report = graph.validate_mixing(mix.entries)
+        print(f"kind={topo.kind}")
+        print(f"n={topo.n}")
+        print(f"edges={len(topo.edges)}")
+        print(f"lambda={mix.lam!r}")
+        print(f"spectral_gap={mix.spectral_gap!r}")
+        for line in report.lines():
+            print(line)
+        if args.export_csv:
+            graph.write_weights_csv(mix.entries, args.export_csv)
+            print(f"wrote {args.export_csv}")
+        if args.export_edges:
+            graph.write_edge_list(topo, args.export_edges)
+            print(f"wrote {args.export_edges}")
+    except (ValueError, OSError) as exc:    # a bad spec or edge list, an unwritable export
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = graph.validate_mixing(mix.entries)
-    print(f"kind={topo.kind}")
-    print(f"n={topo.n}")
-    print(f"edges={len(topo.edges)}")
-    print(f"lambda={mix.lam!r}")
-    print(f"spectral_gap={mix.spectral_gap!r}")
-    for line in report.lines():
-        print(line)
-    if args.export_csv:
-        graph.write_weights_csv(mix.entries, args.export_csv)
-        print(f"wrote {args.export_csv}")
-    if args.export_edges:
-        graph.write_edge_list(topo, args.export_edges)
-        print(f"wrote {args.export_edges}")
     return EXIT_OK
 
 
@@ -266,11 +266,11 @@ def cmd_run(args) -> int:
                 engine.resolve(rc, problem, mix.lam)
             except ValueError as exc:
                 raise ConfigError(f"section [{label}]: {exc}") from None
+        os.makedirs(cfg.out, exist_ok=True)     # a file in the way is a config error
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(cfg.out, exist_ok=True)
     jobs = [(label, replace(rc, replicate=r))
             for label, rc in cfg.algorithms for r in range(cfg.replicates)]
 

@@ -10,10 +10,12 @@ known structure for oracle testing and experiments that need exact optima.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import os
 import warnings
+import zipfile
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +105,58 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
 
     Dimension is the largest index seen unless ``p`` is declared. Raises
     ValueError naming the offending line for malformed input; index 0 is
-    rejected (the format is 1-based).
+    rejected (the format is 1-based). A regular file's parse is kept in
+    ``<source>.decenopt.npz``, stamped with the SHA-256 of the file's bytes
+    and PARSE_CACHE_VERSION; a call whose stamps match loads the same
+    arrays in place of parsing, and any other sidecar is parsed over. Where
+    it cannot be written nothing is said; deleting it is always safe. There
+    is deliberately no switch: a hit returns exactly what a parse would.
     """
+    labels, starts, cols, vals, max_idx = _parse_cached(source)
+    dim = p if p is not None else max_idx
+    if max_idx > dim:
+        raise ValueError(f"feature index {max_idx} exceeds declared dimension {dim}")
+    return RawDataset(labels=labels, compressed=(starts, cols, vals, dim))
+
+
+# Bump whenever _parse's output changes, so the sidecars of older code are parsed over.
+PARSE_CACHE_VERSION = 1
+_PARSED = ("labels", "starts", "cols", "vals", "max_idx")
+
+
+def _parse_cached(source):
+    """_parse(source), through its sidecar when source is a regular file's path."""
+    if hasattr(source, "read") or not os.path.isfile(source):
+        return _parse(source)                   # read once; the parser raises any error
+    path, digest = os.fsdecode(source), hashlib.sha256()
+    before = os.stat(path)
+    with open(path, "rb") as f:
+        while chunk := f.read(256 * 1024):
+            digest.update(chunk)
+    stamp = {"version": PARSE_CACHE_VERSION, "digest": np.frombuffer(digest.digest(), np.uint8)}
+    sidecar = path + ".decenopt.npz"
+    try:
+        with np.load(sidecar) as cached:
+            if all(np.array_equal(cached[key], want) for key, want in stamp.items()):
+                return tuple(cached[key] for key in _PARSED[:-1]) + (int(cached["max_idx"]),)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        pass                                    # missing, stale or unreadable
+    parsed = _parse(path)
+    temporary = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        after = os.stat(path)                   # unchanged from hashing to the parse's end
+        if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+            with open(temporary, "wb") as f:
+                np.savez(f, **stamp, **dict(zip(_PARSED, parsed)))
+            os.replace(temporary, sidecar)
+    except OSError:                             # an unwritable place: no sidecar
+        with suppress(OSError):
+            os.remove(temporary)
+    return parsed
+
+
+def _parse(source):
+    """Labels, row starts, 0-based columns, values and the largest index of LIBSVM text."""
     # 16 B per nonzero (index, value), kept compressed for prepare
     labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
     lineno = 1
@@ -119,14 +171,10 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
             lineno += block.count("\n")
     cols = np.frombuffer(cols, dtype=np.int64)
     max_idx = int(cols.max(initial=0))
-    dim = p if p is not None else max_idx
-    if max_idx > dim:
-        raise ValueError(f"feature index {max_idx} exceeds declared dimension {dim}")
     cols -= 1                                   # 0-based, in place on the parse buffer
     starts = np.zeros(len(labels) + 1, dtype=np.int64)
     np.cumsum(np.frombuffer(counts, dtype=np.int64), out=starts[1:])
-    return RawDataset(labels=np.frombuffer(labels),
-                      compressed=(starts, cols, np.frombuffer(vals), dim))
+    return np.frombuffer(labels), starts, cols, np.frombuffer(vals), max_idx
 
 
 def _line_blocks(f):

@@ -9,7 +9,7 @@ import pytest
 
 from decenopt.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, dump_config, main,
                           parse_experiment)
-from decenopt import graph
+from decenopt import data, engine, graph
 from decenopt.engine import CSV_HEADER
 from decenopt.graph import build_topology, write_edge_list
 
@@ -94,6 +94,17 @@ def test_weights_exports(tmp_path, capsys):
     assert edges.read_text().splitlines()[0] == "5"
 
 
+@pytest.mark.parametrize("flag", ["--export-csv", "--export-edges"])
+def test_weights_unwritable_export_is_an_error(tmp_path, capsys, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "out.txt"                # under a file: never writable
+    assert main(["weights", "ring", "5", flag, str(target)]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: [Errno ") and printed.err.endswith(f"{target}'\n")
+    assert printed.err.count("\n") == 1 and "wrote" not in printed.out
+
+
 def test_weights_custom_edge_list(tmp_path, capsys):
     topo = build_topology("path", 3)
     path = tmp_path / "p3.edges"
@@ -119,6 +130,20 @@ def test_run_end_to_end(tmp_path, capsys):
 def test_run_missing_config(capsys):
     assert main(["run", "--config", "/nonexistent/exp.ini"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: config file not found: /nonexistent/exp.ini\n"
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_run_out_blocked_by_a_file_is_config_error(tmp_path, capsys, monkeypatch, where):
+    cfg, _ = write_config(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "runs"
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error: [Errno ") and printed.err.endswith(f"{out}'\n")
+    assert printed.err.count("\n") == 1 and printed.out == ""
+    assert blocker.read_text() == ""
 
 
 def test_run_bad_section(tmp_path, capsys):
@@ -385,6 +410,34 @@ def test_config_file_data_source(tmp_path):
     cfg, out = file_source_config(tmp_path)
     assert main(["run", "--config", cfg]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "gt-sarah_r0.csv"))
+
+
+def test_run_twice_on_one_libsvm_file_reads_the_parse_cache(tmp_path, monkeypatch):
+    cfg, _ = file_source_config(tmp_path)
+    data_path = tmp_path / "toy.libsvm"
+
+    def run(out, config=cfg):
+        assert main(["run", "--config", config, "--out", str(tmp_path / out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in (tmp_path / out).glob("*.csv")}
+
+    def parsed(*args):
+        raise AssertionError("the LIBSVM file was parsed again")
+
+    first = run("first")
+    assert sorted(first) == ["dsgt_r0.csv", "gt-sarah_r0.csv"]
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_canonical", parsed)
+        m.setattr(data, "_parse_lines", parsed)
+        assert run("second") == first
+    # an edit between runs gives the edited data's CSVs, as from a fresh file
+    edited = "".join(data_path.read_text().splitlines(keepends=True)[1:])
+    data_path.write_text(edited)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    fresh_cfg, _ = file_source_config(fresh)
+    (fresh / "toy.libsvm").write_text(edited)
+    assert not (fresh / "toy.libsvm.decenopt.npz").exists()
+    assert run("edited") == run("fresh", fresh_cfg) != first
 
 
 @pytest.mark.parametrize("keys, message", [

@@ -1,6 +1,8 @@
 import gzip
 import io
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +219,163 @@ def test_parse_libsvm_error_in_late_block_names_its_line(kind, small_blocks, tmp
         else:
             parse_libsvm(path)
     assert True in small_blocks and False in small_blocks
+
+
+# ---------------------------------------------------------------------------
+# the parse cache beside a LIBSVM file
+
+CACHE_TEXT = "1 1:0.5 3:-1.25 3:2.0\n-1 2:1.5 4:0.25\n\n1\n-1 1:-0.75 2:0.5 5:3.0\n"
+
+
+def compressed(raw):
+    """A RawDataset's compressed arrays with their dtypes, and its dimension."""
+    starts, cols, vals, p = raw._compressed
+    return [(a.dtype, a.tobytes()) for a in (raw.labels, starts, cols, vals)] + [p]
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".decenopt.npz")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """One entry per block parsed so far: every block is offered to _parse_canonical."""
+    calls = []
+    real = data._parse_canonical
+    monkeypatch.setattr(data, "_parse_canonical", lambda block: calls.append(1) or real(block))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["data.libsvm", "data.libsvm.gz"])
+def test_parse_cache_hit_equals_miss(name, tmp_path, parses):
+    path = tmp_path / name
+    with gzip.open(path, "wt") if name.endswith(".gz") else open(path, "w") as f:
+        f.write(CACHE_TEXT)
+    dense = {p: parse_libsvm(io.StringIO(CACHE_TEXT), p).features.tobytes() for p in (None, 7)}
+    parses.clear()
+    miss = parse_libsvm(path)
+    assert parses and sorted(os.listdir(tmp_path)) == [name, sidecar(path).name]
+    parses.clear()
+    for source, p in ((path, None), (str(path), 7), (os.fsencode(path), None)):
+        hit = parse_libsvm(source, p)
+        assert compressed(hit)[:-1] == compressed(miss)[:-1]
+        assert hit.p == (p or 5) and type(hit.p) is int
+        assert hit.features.tobytes() == dense[p]
+    assert compressed(parse_libsvm(path)) == compressed(miss) and miss.p == 5
+    assert not parses
+
+
+def test_parse_cache_hit_checks_declared_dimension(tmp_path, parses):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    message = "^feature index 5 exceeds declared dimension 4$"
+    with pytest.raises(ValueError, match=message):
+        parse_libsvm(path, p=4)                 # a miss, which still writes the parse
+    assert sidecar(path).is_file()
+    parses.clear()
+    with pytest.raises(ValueError, match=message):
+        parse_libsvm(path, p=4)
+    assert not parses
+
+
+def test_parse_cache_sees_an_edit_behind_the_same_size_and_mtime(tmp_path, parses):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    parse_libsvm(path)
+    stamp = os.stat(path)
+    edited = CACHE_TEXT.replace("1.5", "2.5")
+    path.write_text(edited)
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    parses.clear()
+    assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(edited)))
+    assert parses
+    parses.clear()
+    assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(edited)))
+    assert len(parses) == 1                     # the text alone: the path hit the new sidecar
+
+
+@pytest.mark.parametrize("spoil", ["truncate", "version"])
+def test_parse_cache_ignores_and_rewrites_a_bad_sidecar(spoil, tmp_path, parses, monkeypatch):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    if spoil == "version":
+        with monkeypatch.context() as m:
+            m.setattr(data, "PARSE_CACHE_VERSION", data.PARSE_CACHE_VERSION + 1)
+            parse_libsvm(path)
+    else:
+        parse_libsvm(path)
+        whole = sidecar(path).read_bytes()
+        sidecar(path).write_bytes(whole[:len(whole) // 2])
+    spoiled = sidecar(path).read_bytes()
+    parses.clear()
+    assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    assert len(parses) == 2                     # the path was parsed, like the text
+    assert sidecar(path).read_bytes() != spoiled
+    parses.clear()
+    parse_libsvm(path)
+    assert not parses
+    assert sorted(os.listdir(tmp_path)) == ["data.libsvm", sidecar(path).name]
+
+
+def test_parse_cache_unwritable_place_parses_silently(tmp_path, capsys, parses):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    sidecar(path).mkdir()                       # root ignores permission bits, not this
+    want = compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            parses.clear()
+            assert compressed(parse_libsvm(path)) == want
+            assert parses
+    assert sorted(os.listdir(tmp_path)) == ["data.libsvm", sidecar(path).name]
+    assert os.listdir(sidecar(path)) == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parse_cache_not_written_when_the_file_changes_during_the_parse(tmp_path, monkeypatch):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    real = data._parse
+
+    def racing(source):
+        parsed = real(source)
+        path.write_text(CACHE_TEXT + "1 1:1\n")
+        return parsed
+
+    monkeypatch.setattr(data, "_parse", racing)
+    assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    assert os.listdir(tmp_path) == ["data.libsvm"]
+
+
+def test_parse_cache_not_written_for_a_file_object(tmp_path):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    with open(path) as f:
+        assert parse_libsvm(f).p == 5
+    assert os.listdir(tmp_path) == ["data.libsvm"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_parse_cache_reads_a_pipe_once(tmp_path):
+    path = tmp_path / "data.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(CACHE_TEXT,))
+    writer.start()
+    raw = parse_libsvm(path)
+    writer.join()
+    assert compressed(raw) == compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    assert os.listdir(tmp_path) == ["data.fifo"]
+
+
+def test_parse_cache_malformed_file_raises_every_time_and_writes_nothing(tmp_path):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT + "1 2:3 7:x\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^line 6: malformed feature '7:x'$"):
+            parse_libsvm(path)
+    assert os.listdir(tmp_path) == ["data.libsvm"]
 
 
 # ---------------------------------------------------------------------------

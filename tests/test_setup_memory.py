@@ -170,3 +170,19 @@ def test_def33_term_peak_memory():
     _, peak = traced_peak(lambda: def33_term(problem, X))
     ratio = peak / (problem.n * X.shape[0] * problem.m * 8)
     assert ratio <= 1.5
+
+
+def test_parse_cache_hit_peak_memory_within_the_miss(tmp_path):
+    # a hit loads the stored arrays in place of the parse buffers and np.loadtxt's
+    path = tmp_path / "raw.libsvm"
+    path.write_text(libsvm_text(raw_set(N=8000, p=100, density=0.2)))
+    cache = path.with_name(path.name + ".decenopt.npz")
+
+    def miss():
+        cache.unlink(missing_ok=True)
+        return parse_libsvm(path)
+
+    missed, miss_peak = traced_peak(miss)
+    hit, hit_peak = traced_peak(lambda: parse_libsvm(path))
+    assert hit.features.tobytes() == missed.features.tobytes()
+    assert hit_peak <= miss_peak
