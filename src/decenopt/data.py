@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import os
+import threading
 import warnings
 import zipfile
 from array import array
@@ -105,12 +107,12 @@ def parse_libsvm(source, p: int | None = None) -> RawDataset:
 
     Dimension is the largest index seen unless ``p`` is declared. Raises
     ValueError naming the offending line for malformed input; index 0 is
-    rejected (the format is 1-based). A regular file's parse is kept in
-    ``<source>.decenopt.npz``, stamped with the SHA-256 of the file's bytes
-    and PARSE_CACHE_VERSION; a call whose stamps match loads the same
-    arrays in place of parsing, and any other sidecar is parsed over. Where
-    it cannot be written nothing is said; deleting it is always safe. There
-    is deliberately no switch: a hit returns exactly what a parse would.
+    rejected (the format is 1-based). A plain file's parse is kept in
+    ``<source>.decenopt.npz``, stamped with the SHA-256 of the bytes parsed
+    and PARSE_CACHE_VERSION: matching stamps load it, others are parsed
+    over. It is skipped silently where it cannot be written, and for
+    ``.gz`` files; deleting it is always safe. There is deliberately no
+    switch: a hit returns exactly what a parse would.
     """
     labels, starts, cols, vals, max_idx = _parse_cached(source)
     dim = p if p is not None else max_idx
@@ -125,34 +127,53 @@ _PARSED = ("labels", "starts", "cols", "vals", "max_idx")
 
 
 def _parse_cached(source):
-    """_parse(source), through its sidecar when source is a regular file's path."""
-    if hasattr(source, "read") or not os.path.isfile(source):
-        return _parse(source)                   # read once; the parser raises any error
-    path, digest = os.fsdecode(source), hashlib.sha256()
-    before = os.stat(path)
-    with open(path, "rb") as f:
-        while chunk := f.read(256 * 1024):
-            digest.update(chunk)
-    stamp = {"version": PARSE_CACHE_VERSION, "digest": np.frombuffer(digest.digest(), np.uint8)}
+    """_parse(source), through its sidecar when source is a plain regular file's path."""
+    path = None if hasattr(source, "read") else os.fsdecode(source)
+    if path is None or path.endswith(".gz") or not os.path.isfile(path):
+        return _parse(source)                   # read once; a .gz parse is many times its file
     sidecar = path + ".decenopt.npz"
+    with suppress(OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile), \
+            np.load(sidecar) as cached:         # missing, stale or unreadable: parse
+        if cached["version"] == PARSE_CACHE_VERSION and cached["digest"] == _digest(path):
+            return tuple(cached[key] for key in _PARSED[:-1]) + (int(cached["max_idx"]),)
+    with open(path, "rb") as f:
+        hashed = _Hashed(f)                     # the sidecar stands for the bytes parsed
+        with io.TextIOWrapper(io.BufferedReader(hashed)) as text:
+            parsed = _parse(text)
+    temporary = f"{sidecar}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with np.load(sidecar) as cached:
-            if all(np.array_equal(cached[key], want) for key, want in stamp.items()):
-                return tuple(cached[key] for key in _PARSED[:-1]) + (int(cached["max_idx"]),)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        pass                                    # missing, stale or unreadable
-    parsed = _parse(path)
-    temporary = f"{sidecar}.{os.getpid()}.tmp"
-    try:
-        after = os.stat(path)                   # unchanged from hashing to the parse's end
-        if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
-            with open(temporary, "wb") as f:
-                np.savez(f, **stamp, **dict(zip(_PARSED, parsed)))
-            os.replace(temporary, sidecar)
+        with open(temporary, "wb") as f:
+            np.savez(f, version=PARSE_CACHE_VERSION, digest=hashed.sha256.hexdigest(),
+                     **dict(zip(_PARSED, parsed)))
+        os.replace(temporary, sidecar)
     except OSError:                             # an unwritable place: no sidecar
         with suppress(OSError):
             os.remove(temporary)
     return parsed
+
+
+class _Hashed(io.RawIOBase):
+    """A binary file read through SHA-256: the digest is of exactly the bytes read."""
+
+    def __init__(self, f):
+        self.f, self.sha256 = f, hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self.f.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def _digest(path):
+    """Hex SHA-256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(256 * 1024):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _parse(source):

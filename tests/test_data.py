@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import os
 import threading
@@ -246,15 +247,13 @@ def parses(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["data.libsvm", "data.libsvm.gz"])
-def test_parse_cache_hit_equals_miss(name, tmp_path, parses):
-    path = tmp_path / name
-    with gzip.open(path, "wt") if name.endswith(".gz") else open(path, "w") as f:
-        f.write(CACHE_TEXT)
+def test_parse_cache_hit_equals_miss(tmp_path, parses):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
     dense = {p: parse_libsvm(io.StringIO(CACHE_TEXT), p).features.tobytes() for p in (None, 7)}
     parses.clear()
     miss = parse_libsvm(path)
-    assert parses and sorted(os.listdir(tmp_path)) == [name, sidecar(path).name]
+    assert parses and sorted(os.listdir(tmp_path)) == ["data.libsvm", sidecar(path).name]
     parses.clear()
     for source, p in ((path, None), (str(path), 7), (os.fsencode(path), None)):
         hit = parse_libsvm(source, p)
@@ -263,6 +262,19 @@ def test_parse_cache_hit_equals_miss(name, tmp_path, parses):
         assert hit.features.tobytes() == dense[p]
     assert compressed(parse_libsvm(path)) == compressed(miss) and miss.p == 5
     assert not parses
+
+
+def test_parse_cache_skips_a_gz_file(tmp_path, parses):
+    # a compressed file's parse can be many times its size: no sidecar
+    path = tmp_path / "data.libsvm.gz"
+    with gzip.open(path, "wt") as f:
+        f.write(CACHE_TEXT)
+    want = compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    for _ in range(2):
+        parses.clear()
+        assert compressed(parse_libsvm(path)) == want
+        assert parses
+    assert os.listdir(tmp_path) == ["data.libsvm.gz"]
 
 
 def test_parse_cache_hit_checks_declared_dimension(tmp_path, parses):
@@ -334,19 +346,64 @@ def test_parse_cache_unwritable_place_parses_silently(tmp_path, capsys, parses):
     assert capsys.readouterr() == ("", "")
 
 
-def test_parse_cache_not_written_when_the_file_changes_during_the_parse(tmp_path, monkeypatch):
+def test_parse_cache_stamps_the_bytes_the_parser_read(tmp_path, monkeypatch, parses):
+    # an edit after the parser's read leaves a sidecar true to what it read
     path = tmp_path / "data.libsvm"
     path.write_text(CACHE_TEXT)
+    edited = CACHE_TEXT + "1 1:1\n"
     real = data._parse
 
     def racing(source):
         parsed = real(source)
-        path.write_text(CACHE_TEXT + "1 1:1\n")
+        path.write_text(edited)
         return parsed
 
-    monkeypatch.setattr(data, "_parse", racing)
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse", racing)
+        assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    with np.load(sidecar(path)) as cached:
+        assert cached["digest"] == hashlib.sha256(CACHE_TEXT.encode()).hexdigest()
+    path.write_text(CACHE_TEXT)
+    parses.clear()
     assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
-    assert os.listdir(tmp_path) == ["data.libsvm"]
+    assert len(parses) == 1                     # the text alone: the file the parser read hits
+    path.write_text(edited)
+    parses.clear()
+    assert compressed(parse_libsvm(path)) == compressed(parse_libsvm(io.StringIO(edited)))
+    assert len(parses) == 2                     # the edited file is parsed, like its text
+
+
+def test_parse_cache_threads_write_through_their_own_temporary_files(tmp_path, monkeypatch):
+    path = tmp_path / "data.libsvm"
+    path.write_text(CACHE_TEXT)
+    want = compressed(parse_libsvm(io.StringIO(CACHE_TEXT)))
+    both_parsed = threading.Barrier(2, timeout=10)
+    real_parse, real_replace, temporaries = data._parse, os.replace, []
+
+    def parse(source):
+        parsed = real_parse(source)
+        both_parsed.wait()                      # the two writes overlap
+        return parsed
+
+    def replace(src, dst):
+        temporaries.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(data, "_parse", parse)
+    monkeypatch.setattr(os, "replace", replace)
+    results = [None, None]
+
+    def call(k):
+        results[k] = compressed(parse_libsvm(path))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [want, want]
+    assert len(set(temporaries)) == 2
+    assert sorted(os.listdir(tmp_path)) == ["data.libsvm", sidecar(path).name]
 
 
 def test_parse_cache_not_written_for_a_file_object(tmp_path):

@@ -142,10 +142,16 @@ def test_prepare_peak_memory():
     assert ratio <= 1.3
 
 
+def parse_afresh(path):
+    """parse_libsvm(path) as a cache miss: it parses and writes the sidecar."""
+    path.with_name(path.name + ".decenopt.npz").unlink(missing_ok=True)
+    return parse_libsvm(path)
+
+
 def test_parse_libsvm_peak_memory(tmp_path):
     path = tmp_path / "raw.libsvm"
     path.write_text(libsvm_text(raw_set()))     # a path: a StringIO would hold the text too
-    raw, peak = traced_peak(lambda: parse_libsvm(path))
+    raw, peak = traced_peak(lambda: parse_afresh(path))
     assert raw.features.shape == (4000, 50)
     ratio = peak / raw.features.nbytes
     assert ratio <= 2.5
@@ -156,7 +162,7 @@ def test_parse_and_prepare_peak_memory(tmp_path):
     # no file-order dense matrix beside the node-ordered one
     path = tmp_path / "raw.libsvm"
     path.write_text(libsvm_text(raw_set(N=8000, p=100, density=0.2)))
-    (dataset, _), peak = traced_peak(lambda: prepare(parse_libsvm(path), 16, seed=0))
+    (dataset, _), peak = traced_peak(lambda: prepare(parse_afresh(path), 16, seed=0))
     assert dataset.features.shape == (16, 500, 100)
     ratio = peak / dataset.features.nbytes
     assert ratio <= 1.8
@@ -176,13 +182,7 @@ def test_parse_cache_hit_peak_memory_within_the_miss(tmp_path):
     # a hit loads the stored arrays in place of the parse buffers and np.loadtxt's
     path = tmp_path / "raw.libsvm"
     path.write_text(libsvm_text(raw_set(N=8000, p=100, density=0.2)))
-    cache = path.with_name(path.name + ".decenopt.npz")
-
-    def miss():
-        cache.unlink(missing_ok=True)
-        return parse_libsvm(path)
-
-    missed, miss_peak = traced_peak(miss)
+    missed, miss_peak = traced_peak(lambda: parse_afresh(path))
     hit, hit_peak = traced_peak(lambda: parse_libsvm(path))
     assert hit.features.tobytes() == missed.features.tobytes()
     assert hit_peak <= miss_peak
