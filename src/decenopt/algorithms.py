@@ -208,7 +208,7 @@ def max_stepsize(n: int, B: int, q: int, lam: float, L: float,
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if L <= 0:
+    if not L > 0:
         raise ValueError("smoothness modulus must be positive")
     if min(n, B, q) < 1:
         raise ValueError("n, B, q must be positive")
@@ -245,6 +245,8 @@ def recommend_parameters(n: int, m: int, lam: float, goal: str = "gradient") -> 
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
+    if min(n, m) < 1:
+        raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
     if goal == "gradient":
         B = gradient_optimal_batch(n, m, lam)
     elif goal == "communication":
@@ -281,7 +283,7 @@ def predicted_complexity(n: int, m: int, B: int, lam: float,
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if epsilon <= 0 or Delta <= 0 or min(n, m, B) < 1:
+    if not (epsilon > 0 and Delta > 0) or min(n, m, B) < 1:
         raise ValueError("n, m, B, Delta, epsilon must be positive")
     gap = 1.0 - lam
     N = n * m
@@ -332,8 +334,12 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name in ("B", "q", "S", "steps", "record_every", "def33_every"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
+            if getattr(self, name) is not None and not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("alpha", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         other = "steps" if self.algorithm == "gt-sarah" else "S"
         if getattr(self, other) is not None:
             raise ValueError(f"{other} does not apply to {self.algorithm}")

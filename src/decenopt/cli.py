@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -146,7 +147,8 @@ def _label_rule(spec: str):
         except ValueError:          # not two numbers
             pass
         else:
-            return data.pair_rule(pos, neg)
+            if math.isfinite(pos) and math.isfinite(neg):     # NaN matches no label
+                return data.pair_rule(pos, neg)
     raise ConfigError(f"unknown label rule {spec!r} (use 'sign' or 'pair:POS,NEG')")
 
 

@@ -357,8 +357,9 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     is shuffled with the given seed, optionally capped at ``max_samples``,
     and truncated to m = floor(kept / n) samples per node. ``label_rule`` is
     called once per distinct label (labels that compare equal share a call).
-    A dealt vector whose squares are subnormal, not zero, cannot be
-    unit-normalized either: a ValueError names its sample.
+    A dealt vector whose squares are subnormal, not zero, or that holds a
+    NaN or infinity cannot be unit-normalized either: a ValueError names
+    its sample.
 
     Returns (LogisticDataset, Partition); a fixed (raw, n, seed, rule)
     yields a byte-identical partition.
@@ -404,7 +405,8 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     feats = np.empty((n, m, raw.p))
     for block, rows in zip(feats, assign):
         block[...] = raw.rows(rows)
-    _normalize_rows(feats)
+    with np.errstate(invalid="ignore"):     # an infinite row turns NaN; named below
+        _normalize_rows(feats)
     labels = mapped[assign].astype(float)
     if (labels == 1).all() or (labels == -1).all():
         warnings.warn("label rule left a single class; the classification task is degenerate",
@@ -412,8 +414,9 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     try:
         dataset = LogisticDataset(features=feats, labels=labels, reg=reg)
     except ValueError:
-        # a row whose squares are subnormal, not zero, keeps a norm off 1
-        off = np.abs(np.linalg.norm(feats, axis=2) - 1.0) > 1e-9
+        # a row whose squares are subnormal, not zero, keeps a norm off 1; a
+        # non-finite row has a NaN norm, which the comparison also rejects
+        off = ~(np.abs(np.linalg.norm(feats, axis=2) - 1.0) <= 1e-9)
         if off.any():
             raise ValueError(f"sample {assign[off].min()} (0-based, in file order) cannot "
                              "be unit-normalized") from None
@@ -452,6 +455,9 @@ def synthesize(kind: str, n: int, m: int, p: int, seed: int,
         raise ValueError(f"unknown kind {kind!r}")
     if min(n, m, p) < 1:
         raise ValueError("n, m, p must be positive")
+    for name, value in (("heterogeneity", heterogeneity), ("reg", reg)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = substream(seed)
     h = 0.0 if kind == "homogeneous" else float(heterogeneity)
 

@@ -5,16 +5,15 @@ full gradients and are never charged to the gradient or communication
 counters; they also never touch the sampling streams, so recording cadence
 cannot change a trajectory.
 
-Trace indexing: gt-sarah records carry the outer cycle s and inner index t
-(t = 0..q within a cycle, plus one terminal record at t = q+1 of the last
-cycle); dsgd/dsgt records carry s = 0 and t = step index.
+Trace indexing is the run state's own: gt-sarah records carry the outer
+cycle s and inner index t (t = 0..q within a cycle, plus one terminal record
+at t = q+1 of the last cycle); dsgd/dsgt records carry s = 0 and t = step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -25,9 +24,6 @@ from .algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_s
 from .data import _open_text
 from .graph import spectral_quantities, validate_mixing
 from .streams import IndexStreams, node_streams
-
-CSV_HEADER = ("algorithm,seed,s,t,epochs,grads_total,comm_rounds,"
-              "stationary_gap,consensus_error,objective,def33_mean")
 
 _ALG_STREAM_ID = {"gt-sarah": 0, "dsgd": 1, "dsgt": 2}
 
@@ -86,7 +82,7 @@ def outer_iteration_bound(f0: float, f_star: float, grad_sq_mean: float,
     and rounds up. Requires the optimal value f*, so it is only available
     on problems where f* is known.
     """
-    if alpha <= 0 or L <= 0 or epsilon <= 0 or q < 1:
+    if not (alpha > 0 and L > 0 and epsilon > 0) or q < 1:
         raise ValueError("alpha, L, epsilon must be positive and q >= 1")
     bound = (4.0 * L * (f0 - f_star) + grad_sq_mean) / ((q + 1) * alpha * L * epsilon ** 2)
     return max(1, math.ceil(bound))
@@ -105,6 +101,11 @@ class TraceRecord:
     def33_mean: float
 
 
+# the CSV schema: the run's algorithm and seed, then a record's fields in order
+_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+CSV_HEADER = ",".join(("algorithm", "seed") + _COLUMNS)
+
+
 @dataclass
 class RunTrace:
     """Recorded metrics of one run plus the final stacked state."""
@@ -120,15 +121,11 @@ class RunTrace:
 
     def to_csv(self, target) -> None:
         """Write the documented CSV schema; floats in round-trip repr form."""
+        head = f"{self.algorithm},{self.seed},"
         with _open_text(target, "w") as f:
             f.write(CSV_HEADER + "\n")
-            for r in self.records:
-                f.write(",".join([
-                    self.algorithm, str(self.seed), str(r.s), str(r.t),
-                    repr(r.epochs), str(r.grads_total), str(r.comm_rounds),
-                    repr(r.stationary_gap), repr(r.consensus_error),
-                    repr(r.objective), repr(r.def33_mean),
-                ]) + "\n")
+            for r in self.records:     # the str of a float is its repr
+                f.write(head + ",".join([str(getattr(r, c)) for c in _COLUMNS]) + "\n")
 
 
 class _Recorder:
@@ -139,33 +136,27 @@ class _Recorder:
         self.trace = trace
         self.record_every = record_every
         self.def33_every = def33_every
-        self.def33_sum = 0.0
-        self.def33_count = 0
+        self.def33_sum, self.def33_count = 0.0, 0
 
-    def observe(self, j, X, counters, s, t) -> int:
-        """Round j's def33 sample and record, each if due; the next round one is due."""
+    def observe(self, state) -> int:
+        """The state's def33 sample and record, each if due; the next round one is due."""
+        j = state.counters.rounds
         if j % self.def33_every == 0:
-            self.def33_sum += def33_term(self.problem, X)
+            self.def33_sum += def33_term(self.problem, state.x)
             self.def33_count += 1
         if j % self.record_every == 0:
-            self.record(X, counters, s, t)
+            self.record(state)
         return min((j // e + 1) * e for e in (self.record_every, self.def33_every))
 
-    def record(self, X, counters, s, t):
-        """Append the trace record of state X at round (s, t)."""
-        xbar = X.mean(axis=0)
-        ce = consensus_error(X)
-        grad_norm = float(np.linalg.norm(self.problem.full_gradient(xbar)))
+    def record(self, state):
+        """Append the trace record of the state at its round (s, t)."""
+        X, grads, problem = state.x, state.counters.grads, self.problem
         self.trace.records.append(TraceRecord(
-            s=s, t=t,
-            epochs=counters.grads / (self.problem.n * self.problem.m),
-            grads_total=counters.grads,
-            comm_rounds=counters.rounds,
-            stationary_gap=grad_norm + ce,
-            consensus_error=ce,
-            objective=self.problem.full_value(xbar),
-            def33_mean=self.def33_sum / max(1, self.def33_count),
-        ))
+            s=state.s, t=state.t, epochs=grads / (problem.n * problem.m),
+            grads_total=grads, comm_rounds=state.counters.rounds,
+            stationary_gap=stationary_gap(problem, X), consensus_error=consensus_error(X),
+            objective=problem.full_value(X.mean(axis=0)),
+            def33_mean=self.def33_sum / max(1, self.def33_count)))
 
 
 def _check_finite(state, limit, trace):
@@ -210,20 +201,19 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
     return cfg
 
 
-def _cycle_start(state, problem, W, alpha, B, rngs, q=None):
-    # round t = 0 of a GT-SARAH cycle: the handoff from the previous cycle,
-    # given its q, then the outer init
-    if q is not None:
-        gt_sarah_cycle_handoff(state, q)
+def _cycle_start(state, problem, W, alpha, B, rngs):
+    # round t = 0 of a GT-SARAH cycle
     gt_sarah_outer_init(state, problem, W, alpha)
 
 
-def _gt_sarah_rounds(S, q):
-    # (s, t, step) of every round; t = 1..q are inner steps
-    later = partial(_cycle_start, q=q)
-    for s in range(1, S + 1):
-        yield s, 0, later if s > 1 else _cycle_start
-        yield from zip(repeat(s), range(1, q + 1), repeat(gt_sarah_inner_step))
+def _gt_sarah_rounds(state, S, q):
+    # the step of every round: a cycle start, then q inner steps; the handoff
+    # into the next cycle runs before its cycle-start round is observed
+    for cycle in range(S):
+        if cycle:
+            gt_sarah_cycle_handoff(state, q)
+        yield _cycle_start
+        yield from repeat(gt_sarah_inner_step, q)
 
 
 def run(problem, weights, config: RunConfig) -> RunTrace:
@@ -254,12 +244,11 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
 
     if cfg.algorithm == "gt-sarah":
         state = initial_state(x0, problem.n)
-        rounds = _gt_sarah_rounds(cfg.S, cfg.q)
+        rounds = _gt_sarah_rounds(state, cfg.S, cfg.q)
         draws = cfg.S * cfg.q                      # one per inner step
     else:
         state = baseline_state(x0, problem.n)
-        step = dsgd_step if cfg.algorithm == "dsgd" else dsgt_step
-        rounds = zip(repeat(0), range(cfg.steps), repeat(step))
+        rounds = repeat(dsgd_step if cfg.algorithm == "dsgd" else dsgt_step, cfg.steps)
         draws = cfg.steps + (cfg.algorithm == "dsgt")   # one per step, plus dsgt_init
     rngs = IndexStreams(node_streams(cfg.seed, problem.n,
                                      namespace=(_ALG_STREAM_ID[cfg.algorithm], cfg.replicate)),
@@ -267,11 +256,11 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     if cfg.algorithm == "dsgt":
         dsgt_init(state, problem, cfg.B, rngs)
     alpha, B, due = cfg.alpha, cfg.B, 0
-    for j, (s, t, step) in enumerate(rounds):
-        if j == due:
-            due = rec.observe(j, state.x, state.counters, s, t)
+    for step in rounds:
+        if state.counters.rounds == due:
+            due = rec.observe(state)
         step(state, problem, W, alpha, B, rngs)
         _check_finite(state, DIVERGENCE_NORM, trace)
-    rec.record(state.x, state.counters, state.s, state.t)
+    rec.record(state)
     trace.final_x = state.x
     return trace

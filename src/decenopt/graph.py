@@ -267,10 +267,11 @@ def read_edge_list(source) -> Topology:
         raise ValueError(f"first line must be the node count, got {lines[0]!r}") from None
     edges = []
     for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {k}: expected 'i j', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:      # not two tokens, or not integers
+            raise ValueError(f"line {k}: expected 'i j', got {ln!r}") from None
+        edges.append((i, j))
     return build_topology("custom", n, edges=edges)
 
 

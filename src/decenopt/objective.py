@@ -106,10 +106,12 @@ class LogisticDataset:
         if y.shape != f.shape[:2]:
             raise ValueError(f"labels shape {y.shape} does not match features {f.shape[:2]}")
         # one node block at a time: no temporary as large as the features
-        if any(np.abs(np.linalg.norm(block, axis=1) - 1.0).max() > 1e-9 for block in f):
+        if any(not np.abs(np.linalg.norm(block, axis=1) - 1.0).max() <= 1e-9 for block in f):
             raise ValueError("feature vectors must be unit-norm")
         if not np.isin(y, (-1.0, 1.0)).all():
             raise ValueError("labels must be exactly -1 or +1")
+        if not np.isfinite(self.reg):
+            raise ValueError(f"reg must be finite, got {self.reg}")
         if self.reg < 0:
             raise ValueError("regularization weight must be nonnegative")
         object.__setattr__(self, "features", f)
@@ -239,7 +241,7 @@ class QuadraticProblem(FiniteSumProblem):
         c = np.asarray(centers, dtype=float)
         if a.shape != c.shape or a.ndim != 3:
             raise ValueError("curvatures and centers must share shape (n, m, p)")
-        if (a <= 0).any():
+        if not (a > 0).all():
             raise ValueError("curvatures must be strictly positive")
         self.curvatures = a
         self.centers = c

@@ -524,6 +524,14 @@ def test_runconfig_validation():
     assert cfg.alpha == "auto"
 
 
+@pytest.mark.parametrize("key, value", [("alpha", math.nan), ("alpha", math.inf),
+                                        ("epochs", math.nan), ("epochs", math.inf)])
+def test_runconfig_rejects_non_finite_numbers(key, value):
+    # a NaN step passes every sign test; an infinite budget has no step count
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+        RunConfig(algorithm="dsgd", **{key: value})
+
+
 def test_runconfig_rejects_nonpositive_def33_cadence():
     # def33_every has no INI key; the other budgets and cadences are
     # checked through the CLI in test_cli.py
@@ -540,3 +548,22 @@ def test_runconfig_rejects_budget_key_of_other_method(algorithm, budget):
     key = "steps" if algorithm == "gt-sarah" else "S"
     with pytest.raises(ValueError, match=f"^{key} does not apply to {algorithm}$"):
         RunConfig(algorithm=algorithm, **budget)
+
+
+# ---------------------------------------------------------------------------
+# calculators on degenerate inputs
+
+@pytest.mark.parametrize("n, m", [(0, 10), (4, 0), (-1, 10)])
+def test_recommend_parameters_rejects_n_or_m_below_one(n, m):
+    for goal in ("gradient", "communication"):
+        with pytest.raises(ValueError, match=f"^n and m must be at least 1, got n={n}, m={m}$"):
+            recommend_parameters(n, m, 0.5, goal)
+
+
+def test_calculators_reject_nan():
+    with pytest.raises(ValueError, match="^n, m, B, Delta, epsilon must be positive$"):
+        predicted_complexity(4, 10, 1, 0.5, epsilon=math.nan)
+    with pytest.raises(ValueError, match="^n, m, B, Delta, epsilon must be positive$"):
+        predicted_complexity(4, 10, 1, 0.5, Delta=math.nan)
+    with pytest.raises(ValueError, match="^smoothness modulus must be positive$"):
+        max_stepsize(4, 1, 10, 0.5, math.nan)

@@ -105,6 +105,22 @@ def test_weights_unwritable_export_is_an_error(tmp_path, capsys, flag):
     assert printed.err.count("\n") == 1 and "wrote" not in printed.out
 
 
+@pytest.mark.parametrize("line", ["1 x", "1 2.0"])
+def test_edge_list_non_integer_node_is_an_error(tmp_path, capsys, line):
+    # through the weights command and through a kind = custom config alike
+    edges = tmp_path / "bad.edges"
+    edges.write_text(f"3\n0 1\n{line}\n")
+    message = f"line 3: expected 'i j', got {line!r}"
+    assert main(["weights", "custom", str(edges)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace("kind = ring\nn = 4",
+                                                          f"kind = custom\npath = {edges}"))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == f"config error: {message}\n" and printed.out == ""
+    assert not os.path.exists(out)
+
+
 def test_weights_custom_edge_list(tmp_path, capsys):
     topo = build_topology("path", 3)
     path = tmp_path / "p3.edges"
@@ -185,6 +201,50 @@ def test_run_nonpositive_budget_or_cadence_is_config_error(tmp_path, capsys, old
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[topology]\nkind = ring\nn = 4\n\n", "", "missing [topology] section"),
+    ("kind = ring\nn = 4", "n = 4", "[topology] needs kind"),
+    ("kind = ring\nn = 4", "kind = custom", "[topology] kind=custom needs path"),
+    ("kind = ring\nn = 4", "kind = custom\npath = /nonexistent/ring.edges",
+     "topology edge list not found: /nonexistent/ring.edges"),
+    ("kind = ring\nn = 4", "kind = ring", "[topology] needs n"),
+    ("m = 8\n", "", "[data] synthetic source needs m and p"),
+    ("n = 4", "n = ten", "[topology] n = 'ten' is not a valid int"),
+], ids=["no-topology", "no-kind", "custom-no-path", "custom-missing-file", "no-n", "no-m",
+        "n=ten"])
+def test_incomplete_or_mistyped_config_is_config_error(tmp_path, capsys, old, new, message):
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: {message}\n"
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("alpha = 0.1", "alpha = nan", "section [dsgt]: alpha must be finite, got nan"),
+    ("alpha = 0.05", "alpha = inf", "section [gt-sarah]: alpha must be finite, got inf"),
+    ("epochs = 3", "epochs = inf", "section [dsgt]: epochs must be finite, got inf"),
+    ("epochs = 3", "epochs = nan", "section [dsgt]: epochs must be finite, got nan"),
+    ("p = 3", "p = 3\nreg = nan", "reg must be finite, got nan"),
+    ("family = quadratic", "family = logistic\nreg = inf", "reg must be finite, got inf"),
+    ("family = quadratic", "family = logistic\nheterogeneity = nan",
+     "heterogeneity must be finite, got nan"),
+    ("p = 3", "p = 3\nheterogeneity = inf", "heterogeneity must be finite, got inf"),
+], ids=["alpha=nan", "alpha=inf", "epochs=inf", "epochs=nan", "reg=nan", "logistic-reg=inf",
+        "logistic-heterogeneity=nan", "heterogeneity=inf"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, monkeypatch, old, new, message):
+    # each used to run and diverge, crash, or fail with a message naming another value
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == f"config error: {message}\n"
+    assert printed.out == ""
     assert not os.path.exists(out)
 
 
@@ -445,8 +505,9 @@ def test_run_twice_on_one_libsvm_file_reads_the_parse_cache(tmp_path, monkeypatc
     ("max_samples = -1", "max_samples must be at least 1, got -1"),
     ("max_samples = 0", "max_samples must be at least 1, got 0"),
 ] + [(f"label_rule = {rule}", f"unknown label rule {rule!r} (use 'sign' or 'pair:POS,NEG')")
-     for rule in ("pair:1", "pair:a,b", "pair:1,2,3")],
-    ids=["format=json", "max_samples=-1", "max_samples=0", "pair:1", "pair:a,b", "pair:1,2,3"])
+     for rule in ("pair:1", "pair:a,b", "pair:1,2,3", "pair:nan,1", "pair:1,-inf")],
+    ids=["format=json", "max_samples=-1", "max_samples=0", "pair:1", "pair:a,b", "pair:1,2,3",
+         "pair:nan,1", "pair:1,-inf"])
 def test_bad_file_source_key_is_config_error(tmp_path, capsys, keys, message):
     cfg, out = file_source_config(tmp_path, keys)
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
@@ -470,6 +531,38 @@ def test_unnormalizable_sample_is_config_error(tmp_path, capsys):
                            "cannot be unit-normalized\n")
     assert printed.out == ""
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fmt", ["libsvm", "csv"])
+def test_non_finite_feature_in_a_data_file_is_config_error(tmp_path, capsys, fmt):
+    rows = [(1, 1.0, 0.0), (-1, 0.5, 2.0), (1, float("nan"), 1.0), (-1, 2.0, 1.0)]
+    if fmt == "libsvm":
+        text = "".join(f"{y} 1:{a} 2:{b}\n" for y, a, b in rows)
+    else:
+        text = "a,b,y\n" + "".join(f"{a},{b},{y}\n" for y, a, b in rows)
+    data_path = tmp_path / f"nan.{fmt}"
+    data_path.write_text(text)
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(
+        "source = synthetic\nfamily = quadratic\nkind = heterogeneous\nm = 8\np = 3",
+        f"source = {data_path}\nformat = {fmt}").replace("n = 4", "n = 2"))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == ("config error: sample 2 (0-based, in file order) "
+                           "cannot be unit-normalized\n")
+    assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+def test_pair_label_rule_runs_from_a_config(tmp_path):
+    # on +1/-1 labels, pair:1,-1 keeps every sample with its sign's class
+    def run(keys, out):
+        cfg, _ = file_source_config(tmp_path, keys)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in (tmp_path / out).glob("*.csv")}
+
+    pair = run("format = libsvm\nlabel_rule = pair:1,-1", "pair")
+    assert sorted(pair) == ["dsgt_r0.csv", "gt-sarah_r0.csv"]
+    assert pair == run("format = libsvm\nlabel_rule = sign", "sign")
 
 
 def test_run_auto_alpha_convergence_smoke(tmp_path, capsys):
@@ -541,6 +634,21 @@ def test_plan_epsilon_scaling(capsys):
     b = plan_dict(capsys, "--n", "8", "--m", "64", "--lam", "0.5", "--epsilon", "0.125")
     assert float(b["grad_computations"]) == 4.0 * float(a["grad_computations"])
     assert float(b["comm_rounds"]) == 4.0 * float(a["comm_rounds"])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "n and m must be at least 1, got n=0, m=10"),
+    (["--m", "0"], "n and m must be at least 1, got n=4, m=0"),
+    (["--n", "-1"], "n and m must be at least 1, got n=-1, m=10"),
+    (["--epsilon", "nan"], "n, m, B, Delta, epsilon must be positive"),
+    (["--delta", "nan"], "n, m, B, Delta, epsilon must be positive"),
+    (["--L", "nan"], "smoothness modulus must be positive"),
+], ids=["n=0", "m=0", "n=-1", "epsilon=nan", "delta=nan", "L=nan"])
+def test_plan_degenerate_input_is_an_error(capsys, args, message):
+    assert main(["plan", "--n", "4", "--m", "10", "--lam", "0.5", *args]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {message}\n"
+    assert printed.out == ""
 
 
 def test_plan_rejects_bad_lambda(capsys):

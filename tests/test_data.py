@@ -599,6 +599,15 @@ def test_prepare_names_the_sample_that_cannot_be_unit_normalized():
         prepare(raw, 2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prepare_names_a_sample_with_a_non_finite_feature(bad):
+    raw = toy_raw(12)
+    raw.features[5, 2] = bad
+    with pytest.raises(ValueError, match="^sample 5 \\(0-based, in file order\\) cannot be "
+                                         "unit-normalized$"):
+        prepare(raw, n=3, seed=9)
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 
@@ -661,3 +670,13 @@ def test_synthesize_validation():
         synthesize("homogeneous", 0, 2, 2, seed=0)
     with pytest.raises(ValueError):
         synthesize("homogeneous", 2, 2, 2, seed=0, family="cubic")
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize("key, value", [("heterogeneity", np.nan), ("heterogeneity", np.inf),
+                                        ("reg", np.nan), ("reg", -np.inf)])
+def test_synthesize_rejects_non_finite_numbers(family, key, value):
+    # checked whether or not the family or kind reads the value
+    for kind in ("homogeneous", "heterogeneous"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            synthesize(kind, 2, 3, 2, seed=0, family=family, **{key: value})

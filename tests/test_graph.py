@@ -215,6 +215,12 @@ def test_edge_list_parse_errors():
         read_edge_list(io.StringIO("3\n0 1 2\n"))
 
 
+@pytest.mark.parametrize("line", ["1 x", "1 2.0"])
+def test_edge_list_non_integer_node_names_its_line(line):
+    with pytest.raises(ValueError, match=f"^line 3: expected 'i j', got '{line}'$"):
+        read_edge_list(io.StringIO(f"3\n0 1\n{line}\n"))
+
+
 def test_weights_csv_roundtrip(tmp_path):
     w = lazy_metropolis_weights(build_topology("ring", 4)).entries
     for path in path_targets(tmp_path, "w.csv"):

@@ -445,7 +445,32 @@ def test_dataset_rejects_negative_reg():
         LogisticDataset(features=np.ones((1, 1, 1)), labels=np.array([[1.0]]), reg=-0.1)
 
 
+@pytest.mark.parametrize("reg", [math.nan, math.inf, -math.inf])
+def test_dataset_rejects_non_finite_reg(reg):
+    with pytest.raises(ValueError, match=f"^reg must be finite, got {reg}$"):
+        LogisticDataset(features=np.ones((1, 1, 1)), labels=np.array([[1.0]]), reg=reg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    # a NaN row's distance from unit norm is NaN, which no bound admits
+    theta = np.full((2, 1, 2), math.sqrt(0.5))
+    theta[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="^feature vectors must be unit-norm$"):
+        LogisticDataset(features=theta, labels=np.ones((2, 1)))
+
+
+def test_quadratic_full_value_is_mean_of_component_values():
+    prob = synthesize("heterogeneous", 3, 4, 5, seed=31)
+    rng = np.random.default_rng(32)
+    for x in (np.zeros(5), rng.normal(size=5), prob.minimizer()):
+        mean = np.mean([prob.component_value(i, j, x) for i in range(3) for j in range(4)])
+        assert prob.full_value(x) == pytest.approx(mean, rel=1e-12, abs=1e-15)
+
+
 def test_quadratic_validation():
+    with pytest.raises(ValueError):
+        QuadraticProblem(np.full((1, 1, 1), np.nan), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
         QuadraticProblem(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):

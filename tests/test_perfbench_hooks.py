@@ -44,8 +44,16 @@ def test_perfbench_selftest_and_tracer_targets():
         decenopt.engine.run(prob, mix, RunConfig(algorithm="gt-sarah", alpha=0.1, B=B, q=q, S=S))
     finally:
         tracer.uninstall()
-    stats = tracing.aggregate(tracer.take())
+    spans = tracer.take()
+    stats = tracing.aggregate(spans)
     assert stats["algorithms.sample_indices.calls"] == S * q
     assert stats["objective.minibatch_gradients.bytes_gathered"] == S * q * n * B * (p + 1) * 8
     assert stats["objective.batch_gradients.bytes_read"] == S * n * m * (p + 1) * 8
     assert stats["engine.run.self_s"] > 0
+    # the handoffs run between rounds but still inside engine.run, so the step
+    # layer's self time counts them
+    runs = {sp.id for sp in spans if sp.name == "engine.run"}
+    for name, calls in (("algorithms.gt_sarah_cycle_handoff", S - 1),
+                        ("algorithms.gt_sarah_outer_init", S)):
+        found = [sp for sp in spans if sp.name == name]
+        assert len(found) == calls and all(sp.parent in runs for sp in found)
