@@ -210,6 +210,8 @@ def max_stepsize(n: int, B: int, q: int, lam: float, L: float,
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     if not L > 0:
         raise ValueError("smoothness modulus must be positive")
+    if not math.isfinite(L):
+        raise ValueError(f"smoothness modulus must be finite, got {L}")
     if min(n, B, q) < 1:
         raise ValueError("n, B, q must be positive")
     if variant == "asymptotic":
@@ -222,7 +224,10 @@ def max_stepsize(n: int, B: int, q: int, lam: float, L: float,
     t1 = one ** 2 / (4.0 * math.sqrt(42.0))
     t2 = math.sqrt(n * B / (6.0 * q))
     t3 = (4.0 * n * B / (7.0 * n * B + 24.0 * q)) ** e * one / 6.0
-    return min(t1, t2, t3) / (2.0 * L)
+    alpha = min(t1, t2, t3) / (2.0 * L)
+    if not math.isfinite(alpha):
+        raise ValueError(f"step size bound is not finite for L={L}")
+    return alpha
 
 
 def gradient_optimal_batch(n: int, m: int, lam: float) -> int:
@@ -285,15 +290,19 @@ def predicted_complexity(n: int, m: int, B: int, lam: float,
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     if not (epsilon > 0 and Delta > 0) or min(n, m, B) < 1:
         raise ValueError("n, m, B, Delta, epsilon must be positive")
+    if not (math.isfinite(Delta) and math.isfinite(epsilon)):
+        raise ValueError(f"Delta and epsilon must be finite, got Delta={Delta}, epsilon={epsilon}")
     gap = 1.0 - lam
     N = n * m
-    scale = Delta / epsilon ** 2
+    scale = Delta / epsilon ** 2 if epsilon ** 2 else math.inf    # 0 below epsilon ~ 1e-162
     H = max(n * B / gap ** 2,
             math.sqrt(N),
             m ** (1 / 3) * n ** (2 / 3) * B ** (1 / 3) / gap) * scale
     K = max(1.0 / gap ** 2,
             math.sqrt(m) / (math.sqrt(n) * B),
             m ** (1 / 3) / (n ** (1 / 3) * B ** (2 / 3) * gap)) * scale
+    if not (math.isfinite(H) and math.isfinite(K)):
+        raise ValueError(f"predicted totals are not finite for Delta={Delta}, epsilon={epsilon}")
     if n <= math.sqrt(N) * gap ** 3:
         regime = "big-data"
     elif n >= math.sqrt(N) * gap ** 1.5:

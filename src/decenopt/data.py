@@ -359,7 +359,8 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
     called once per distinct label (labels that compare equal share a call).
     A dealt vector whose squares are subnormal, not zero, or that holds a
     NaN or infinity cannot be unit-normalized either: a ValueError names
-    its sample.
+    its sample, as it does the first sample with a NaN label, before any
+    rule call.
 
     Returns (LogisticDataset, Partition); a fixed (raw, n, seed, rule)
     yields a byte-identical partition.
@@ -368,6 +369,9 @@ def prepare(raw: RawDataset, n: int, seed: int, label_rule=sign_rule,
         raise ValueError("node count must be positive")
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
+    nan = np.isnan(raw.labels)
+    if nan.any():
+        raise ValueError(f"sample {int(nan.argmax())} (0-based, in file order) has a NaN label")
     # one rule call per distinct label, on its first sample and in file order,
     # so an invalid value is reported for the first sample that has one
     _, first, inverse = np.unique(raw.labels, return_index=True, return_inverse=True)

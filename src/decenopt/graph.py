@@ -38,16 +38,8 @@ class Topology:
                 raise ValueError(f"edge ({i}, {j}) references a node outside 0..{self.n - 1}")
             if i >= j:
                 raise ValueError(f"edge ({i}, {j}) is not in canonical (i < j) form")
-        if not _connected(self.n, self.edges):
+        if not _connected(_adjacency(self.n, self.edges)):
             raise ValueError(f"{self.kind} topology on {self.n} nodes is not connected")
-
-    def degrees(self) -> np.ndarray:
-        """Node degrees, self-loops excluded."""
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -71,25 +63,24 @@ def _canonical_edge(i: int, j: int):
     return (i, j) if i < j else (j, i)
 
 
-def _connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+def _adjacency(n: int, edges) -> np.ndarray:
+    """(n, n) boolean adjacency of an undirected edge set, diagonal False."""
+    a = np.zeros((n, n), dtype=bool)
+    if edges:
+        i, j = np.array(list(edges)).T
+        a[i, j] = a[j, i] = True
+    return a
+
+
+def _connected(adjacency: np.ndarray) -> bool:
+    """Whether a frontier grown from node 0 over the adjacency rows reaches every node."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
 
 
 def build_topology(kind: str, n: int, rows: int | None = None, cols: int | None = None,
@@ -116,11 +107,14 @@ def build_topology(kind: str, n: int, rows: int | None = None, cols: int | None 
     """
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
-    e = set()
     if kind == "complete":
         e = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    elif kind == "ring":
-        e = {_canonical_edge(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n}
+    elif kind in ("ring", "exponential"):
+        # circulant: node i links to (i +/- d) mod n for every offset d; the
+        # exponential graph's offsets are 2^j for j = 0..floor(log2(n-1))
+        offsets = [1] if kind == "ring" else [2 ** j for j in range(int(n - 1).bit_length())]
+        e = {_canonical_edge(i, (i + d) % n)
+             for d in offsets for i in range(n) if (i + d) % n != i}
     elif kind == "path":
         e = {(i, i + 1) for i in range(n - 1)}
     elif kind == "grid":
@@ -128,28 +122,12 @@ def build_topology(kind: str, n: int, rows: int | None = None, cols: int | None 
             raise ValueError("grid topology requires rows and cols")
         if rows * cols != n:
             raise ValueError(f"grid dimensions {rows}x{cols} do not match n={n}")
-        for r in range(rows):
-            for c in range(cols):
-                u = r * cols + c
-                if c + 1 < cols:
-                    e.add((u, u + 1))
-                if r + 1 < rows:
-                    e.add((u, u + cols))
-    elif kind == "exponential":
-        # node i connects to (i +/- 2^j) mod n for j = 0..floor(log2(n-1))
-        j = 0
-        while n > 1 and 2 ** j <= n - 1:
-            for i in range(n):
-                t = (i + 2 ** j) % n
-                if t != i:
-                    e.add(_canonical_edge(i, t))
-            j += 1
+        e = ({(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)}
+             | {(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)})
     elif kind == "custom":
         if edges is None:
             raise ValueError("custom topology requires an edge list")
-        for i, j in edges:
-            if i != j:
-                e.add(_canonical_edge(int(i), int(j)))
+        e = {_canonical_edge(int(i), int(j)) for i, j in edges if i != j}
     else:
         raise ValueError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
     return Topology(kind=kind, n=n, edges=frozenset(e))
@@ -163,16 +141,11 @@ def lazy_metropolis_weights(topo: Topology) -> MixingMatrix:
     lazy transform halves everything and adds I/2, guaranteeing a strictly
     positive diagonal.
     """
-    n = topo.n
-    deg = topo.degrees()
-    m = np.zeros((n, n))
-    for i, j in topo.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        m[i, j] = w
-        m[j, i] = w
-    for i in range(n):
-        m[i, i] = 1.0 - (m[i].sum() - m[i, i])
-    entries = (np.eye(n) + m) / 2.0
+    adjacency = _adjacency(topo.n, topo.edges)
+    deg = adjacency.sum(axis=1)
+    m = np.where(adjacency, 1 / (1 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(m, 1 - m.sum(axis=1))
+    entries = (np.eye(topo.n) + m) / 2.0
     lam, _ = spectral_quantities(entries)
     return MixingMatrix(entries=entries, lam=lam)
 
@@ -188,8 +161,6 @@ def spectral_quantities(entries: np.ndarray) -> tuple:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
     n = w.shape[0]
     dev = w - np.full((n, n), 1.0 / n)
-    if not dev.any():
-        return 0.0, 1.0
     lam = float(np.linalg.svd(dev, compute_uv=False)[0])
     return lam, 1.0 - lam
 
@@ -226,13 +197,12 @@ def validate_mixing(entries: np.ndarray, tol: float = 1e-12) -> MixingReport:
     w = np.asarray(entries, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-    n = w.shape[0]
     row_dev = float(np.abs(w.sum(axis=1) - 1.0).max())
     col_dev = float(np.abs(w.sum(axis=0) - 1.0).max())
     positive_diag = bool((np.diag(w) > 0).all())
-    support = {_canonical_edge(i, j) for i in range(n) for j in range(n)
-               if i != j and (w[i, j] != 0 or w[j, i] != 0)}
-    primitive = positive_diag and _connected(n, support)
+    support = (w != 0) | (w.T != 0)
+    np.fill_diagonal(support, False)
+    primitive = positive_diag and _connected(support)
     return MixingReport(
         nonnegative=bool((w >= 0).all()),
         rows_stochastic=row_dev <= tol,

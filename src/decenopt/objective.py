@@ -72,15 +72,6 @@ class FiniteSumProblem:
     def component_gradient(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dissimilarity_at(self, x: np.ndarray) -> float:
-        """(1/n) sum_i ||grad f_i(x) - grad F(x)||^2 at one point.
-
-        Zero exactly when every node's local gradient agrees at x.
-        """
-        g = self.batch_gradients(np.tile(np.asarray(x, dtype=float), (self.n, 1)))
-        gbar = g.mean(axis=0)
-        return float(np.mean(np.sum((g - gbar) ** 2, axis=1)))
-
 
 # ---------------------------------------------------------------------------
 # non-convex logistic regression
@@ -287,7 +278,3 @@ class QuadraticProblem(FiniteSumProblem):
 
     def optimal_value(self) -> float:
         return self.full_value(self.minimizer())
-
-    def node_minimizer(self, i: int) -> np.ndarray:
-        a = self.curvatures[i].mean(axis=0)
-        return (self.curvatures[i] * self.centers[i]).mean(axis=0) / a

@@ -4,7 +4,9 @@ Everything here recomputes expected values from first principles (finite
 differences, brute-force enumeration, plain reference loops) and must stay
 independent of the library code paths it is used to check. It also holds
 the LIBSVM writer, the full-pass node streams that tests feed the library,
-and the per-round index draw that the library's streams must reproduce.
+the per-round index draw that the library's streams must reproduce, and
+the network layer's per-edge loops that its array code must reproduce
+byte for byte.
 """
 
 from types import SimpleNamespace
@@ -86,3 +88,106 @@ def reference_sgd(problem, x0, alpha, B, steps, rng):
         x = x - alpha * g
         iterates.append(x.copy())
     return iterates
+
+
+def dissimilarity_at(problem, x):
+    """(1/n) sum_i ||grad f_i(x) - grad F(x)||^2 at one point.
+
+    Zero exactly when every node's local gradient agrees at x.
+    """
+    g = problem.batch_gradients(np.tile(np.asarray(x, dtype=float), (problem.n, 1)))
+    gbar = g.mean(axis=0)
+    return float(np.mean(np.sum((g - gbar) ** 2, axis=1)))
+
+
+def node_minimizer(problem, i):
+    """Minimizer of node i's local cost for a QuadraticProblem."""
+    a = problem.curvatures[i].mean(axis=0)
+    return (problem.curvatures[i] * problem.centers[i]).mean(axis=0) / a
+
+
+# ---------------------------------------------------------------------------
+# network layer, one edge or node pair at a time
+
+def _canonical(i, j):
+    return (i, j) if i < j else (j, i)
+
+
+def reference_edges(kind, n, rows=None, cols=None):
+    """Edge set of a built-in topology kind by explicit per-node loops."""
+    e = set()
+    if kind == "complete":
+        for i in range(n):
+            for j in range(i + 1, n):
+                e.add((i, j))
+    elif kind == "ring":
+        for i in range(n):
+            if (i + 1) % n != i:
+                e.add(_canonical(i, (i + 1) % n))
+    elif kind == "path":
+        for i in range(n - 1):
+            e.add((i, i + 1))
+    elif kind == "grid":
+        for r in range(rows):
+            for c in range(cols):
+                u = r * cols + c
+                if c + 1 < cols:
+                    e.add((u, u + 1))
+                if r + 1 < rows:
+                    e.add((u, u + cols))
+    elif kind == "exponential":
+        j = 0
+        while n > 1 and 2 ** j <= n - 1:
+            for i in range(n):
+                t = (i + 2 ** j) % n
+                if t != i:
+                    e.add(_canonical(i, t))
+            j += 1
+    return e
+
+
+def reference_connected(n, edges):
+    """Depth-first search from node 0 over adjacency lists."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                stack.append(v)
+    return count == n
+
+
+def reference_metropolis(n, edges):
+    """Lazy Metropolis matrix and its lambda, filled one edge and one diagonal at a time."""
+    deg = np.zeros(n, dtype=int)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    m = np.zeros((n, n))
+    for i, j in edges:
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        m[i, j] = w
+        m[j, i] = w
+    for i in range(n):
+        m[i, i] = 1.0 - (m[i].sum() - m[i, i])
+    entries = (np.eye(n) + m) / 2.0
+    dev = entries - np.full((n, n), 1.0 / n)
+    lam = float(np.linalg.svd(dev, compute_uv=False)[0]) if dev.any() else 0.0
+    return entries, lam
+
+
+def reference_primitive(w):
+    """Positive diagonal and a connected support graph, pair by pair."""
+    n = w.shape[0]
+    support = {_canonical(i, j) for i in range(n) for j in range(n)
+               if i != j and (w[i, j] != 0 or w[j, i] != 0)}
+    return bool((np.diag(w) > 0).all()) and reference_connected(n, support)

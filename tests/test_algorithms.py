@@ -423,6 +423,13 @@ def test_max_stepsize_validation():
         max_stepsize(1, 1, 1, 0.5, -1.0)
     with pytest.raises(ValueError):
         max_stepsize(1, 1, 1, 0.5, 1.0, variant="bogus")
+    for n, B, q in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="^n, B, q must be positive$"):
+            max_stepsize(n, B, q, 0.5, 1.0)
+    with pytest.raises(ValueError, match="^smoothness modulus must be finite, got inf$"):
+        max_stepsize(1, 1, 1, 0.5, math.inf)
+    with pytest.raises(ValueError, match="^step size bound is not finite for L=1e-320$"):
+        max_stepsize(1, 1, 1, 0.5, 1e-320)
 
 
 def test_recommend_parameters_examples():
@@ -432,6 +439,8 @@ def test_recommend_parameters_examples():
     assert recommend_parameters(50, 10000, 0.999999, "communication")[0] == 1
     B, q = recommend_parameters(1, 10000, 0.0, "communication")
     assert (B, q) == (100, 100)
+    with pytest.raises(ValueError, match="^unknown goal 'latency'$"):
+        recommend_parameters(4, 10, 0.5, "latency")
 
 
 def test_recommend_parameters_bounds():
@@ -498,6 +507,13 @@ def test_predicted_complexity_validation():
         predicted_complexity(2, 10, 1, 1.0)
     with pytest.raises(ValueError):
         predicted_complexity(2, 10, 1, 0.5, epsilon=0.0)
+    with pytest.raises(ValueError, match="^Delta and epsilon must be finite, got Delta=1.0, "
+                                         "epsilon=inf$"):
+        predicted_complexity(2, 10, 1, 0.5, epsilon=math.inf)
+    # epsilon ** 2 underflows to 0
+    with pytest.raises(ValueError, match="^predicted totals are not finite for Delta=1.0, "
+                                         "epsilon=1e-200$"):
+        predicted_complexity(2, 10, 1, 0.5, epsilon=1e-200)
 
 
 def test_batch_bounds_match_definitions():

@@ -553,6 +553,25 @@ def test_non_finite_feature_in_a_data_file_is_config_error(tmp_path, capsys, fmt
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("fmt", ["libsvm", "csv"])
+def test_nan_label_in_a_data_file_is_config_error(tmp_path, capsys, fmt):
+    rows = [(1, 1.0, 0.0), (-1, 0.5, 2.0), ("nan", 1.0, 1.0), (-1, 2.0, 1.0), ("nan", 1.0, 3.0)]
+    if fmt == "libsvm":
+        text = "".join(f"{y} 1:{a} 2:{b}\n" for y, a, b in rows)
+    else:
+        text = "a,b,y\n" + "".join(f"{a},{b},{y}\n" for y, a, b in rows)
+    data_path = tmp_path / f"nan-label.{fmt}"
+    data_path.write_text(text)
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(
+        "source = synthetic\nfamily = quadratic\nkind = heterogeneous\nm = 8\np = 3",
+        f"source = {data_path}\nformat = {fmt}").replace("n = 4", "n = 2"))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == "config error: sample 2 (0-based, in file order) has a NaN label\n"
+    assert printed.out == ""
+    assert not os.path.exists(out)
+
+
 def test_pair_label_rule_runs_from_a_config(tmp_path):
     # on +1/-1 labels, pair:1,-1 keeps every sample with its sign's class
     def run(keys, out):
@@ -643,7 +662,14 @@ def test_plan_epsilon_scaling(capsys):
     (["--epsilon", "nan"], "n, m, B, Delta, epsilon must be positive"),
     (["--delta", "nan"], "n, m, B, Delta, epsilon must be positive"),
     (["--L", "nan"], "smoothness modulus must be positive"),
-], ids=["n=0", "m=0", "n=-1", "epsilon=nan", "delta=nan", "L=nan"])
+    (["--epsilon", "inf"], "Delta and epsilon must be finite, got Delta=1.0, epsilon=inf"),
+    (["--delta", "inf"], "Delta and epsilon must be finite, got Delta=inf, epsilon=0.1"),
+    (["--L", "inf"], "smoothness modulus must be finite, got inf"),
+    (["--L", "1e-320"], "step size bound is not finite for L=1e-320"),
+    (["--epsilon", "1e-200"], "predicted totals are not finite for Delta=1.0, epsilon=1e-200"),
+    (["--delta", "1e308"], "predicted totals are not finite for Delta=1e+308, epsilon=0.1"),
+], ids=["n=0", "m=0", "n=-1", "epsilon=nan", "delta=nan", "L=nan", "epsilon=inf", "delta=inf",
+        "L=inf", "L=1e-320", "epsilon=1e-200", "delta=1e308"])
 def test_plan_degenerate_input_is_an_error(capsys, args, message):
     assert main(["plan", "--n", "4", "--m", "10", "--lam", "0.5", *args]) == EXIT_CONFIG
     printed = capsys.readouterr()

@@ -13,7 +13,7 @@ from decenopt import data
 from decenopt.data import (RawDataset, pair_rule, parse_csv, parse_libsvm, prepare, sign_rule,
                            synthesize)
 from decenopt.objective import LogisticProblem, QuadraticProblem
-from helpers import libsvm_text
+from helpers import dissimilarity_at, libsvm_text, node_minimizer
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +571,27 @@ def test_prepare_calls_rule_once_per_distinct_label_in_file_order():
         prepare(raw, n=2, seed=6, label_rule=lambda y: bad[y])
 
 
+def test_prepare_rejects_a_nan_label_before_the_rule_sees_it():
+    raw = toy_raw(8)
+    raw.labels[[3, 6]] = np.nan
+    calls = []
+    with pytest.raises(ValueError, match="^sample 3 \\(0-based, in file order\\) has a NaN label$"):
+        prepare(raw, n=2, seed=6, label_rule=lambda y: calls.append(y) or 1)
+    assert calls == []
+    # the sign rule would have read it as class -1
+    raw = parse_libsvm(io.StringIO("nan 1:1\n1 1:2\n-1 2:1\n1 2:2\n"))
+    with pytest.raises(ValueError, match="^sample 0 \\(0-based, in file order\\) has a NaN label$"):
+        prepare(raw, n=2, seed=0)
+
+
+def test_prepare_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="^node count must be positive$"):
+        prepare(toy_raw(8), n=0, seed=1)
+    # LogisticDataset's own error, passed on as it is
+    with pytest.raises(ValueError, match="^regularization weight must be nonnegative$"):
+        prepare(toy_raw(8), n=2, seed=1, reg=-1.0)
+
+
 def test_prepare_max_samples_cap():
     ds, part = prepare(toy_raw(30), n=3, seed=9, max_samples=12)
     assert ds.m == 4
@@ -615,19 +636,19 @@ def test_synthesize_homogeneous_quadratic_no_dissimilarity():
     prob = synthesize("homogeneous", 4, 5, 3, seed=10)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        assert prob.dissimilarity_at(rng.normal(size=3)) <= 1e-28
+        assert dissimilarity_at(prob, rng.normal(size=3)) <= 1e-28
 
 
 def test_synthesize_heterogeneous_quadratic_has_dissimilarity():
     prob = synthesize("heterogeneous", 4, 5, 3, seed=12)
-    assert prob.dissimilarity_at(np.zeros(3)) > 1e-4
+    assert dissimilarity_at(prob, np.zeros(3)) > 1e-4
 
 
 def test_equal_weight_quadratic_optimum_at_mean_of_node_minimizers():
     rng = np.random.default_rng(13)
     centers = rng.normal(size=(5, 3, 2))
     prob = QuadraticProblem(np.ones((5, 3, 2)), centers)
-    node_mins = np.stack([prob.node_minimizer(i) for i in range(5)])
+    node_mins = np.stack([node_minimizer(prob, i) for i in range(5)])
     assert np.allclose(prob.minimizer(), node_mins.mean(axis=0), atol=1e-13)
     assert np.allclose(prob.minimizer(), centers.mean(axis=(0, 1)), atol=1e-13)
 
@@ -647,13 +668,13 @@ def test_synthesize_logistic_shapes_and_labels():
     assert d.features.shape == (3, 10, 4)
     assert np.abs(np.linalg.norm(d.features, axis=2) - 1.0).max() <= 1e-12
     assert set(np.unique(d.labels)) <= {-1.0, 1.0}
-    assert prob.dissimilarity_at(np.zeros(4)) > 0
+    assert dissimilarity_at(prob, np.zeros(4)) > 0
 
 
 def test_synthesize_logistic_homogeneous():
     prob = synthesize("homogeneous", 4, 6, 3, seed=16, family="logistic")
     x = np.random.default_rng(17).normal(size=3)
-    assert prob.dissimilarity_at(x) <= 1e-28
+    assert dissimilarity_at(prob, x) <= 1e-28
 
 
 def test_synthesize_determinism():

@@ -8,6 +8,7 @@ import pytest
 from decenopt.graph import (MixingMatrix, Topology, build_topology, lazy_metropolis_weights,
                             read_edge_list, spectral_quantities, validate_mixing,
                             write_edge_list, write_weights_csv)
+from helpers import reference_connected, reference_edges, reference_metropolis, reference_primitive
 
 SUITE = [
     build_topology("complete", 3),
@@ -56,6 +57,10 @@ def test_build_errors():
         build_topology("custom", 3, edges=[(0, 5)])
     with pytest.raises(ValueError):
         build_topology("nonsense", 3)
+    with pytest.raises(ValueError, match="^custom topology requires an edge list$"):
+        build_topology("custom", 3)
+    with pytest.raises(ValueError, match="^node count must be positive, got 0$"):
+        Topology("ring", 0)
 
 
 def test_custom_drops_self_loops():
@@ -240,3 +245,46 @@ def test_mixing_matrix_spectral_gap():
     mix = lazy_metropolis_weights(build_topology("path", 2))
     assert isinstance(mix, MixingMatrix)
     assert mix.spectral_gap == pytest.approx(0.5, abs=1e-12)
+
+
+def assert_weights_match_reference(topo):
+    mix = lazy_metropolis_weights(topo)
+    entries, lam = reference_metropolis(topo.n, topo.edges)
+    assert mix.entries.tobytes() == entries.tobytes() and mix.lam == lam, (topo.kind, topo.n)
+
+
+def test_network_layer_matches_the_per_edge_reference_loops():
+    # array code against one-edge-at-a-time loops, byte for byte
+    shapes = [(kind, n, None, None) for kind in ("complete", "ring", "path", "exponential")
+              for n in range(1, 65)]
+    shapes += [("grid", r * c, r, c) for r in range(1, 9) for c in range(1, 9)]
+    for kind, n, rows, cols in shapes:
+        topo = build_topology(kind, n, rows=rows, cols=cols)
+        assert topo.edges == reference_edges(kind, n, rows, cols), (kind, n, rows, cols)
+        assert_weights_match_reference(topo)
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)).tolist()
+        edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+        connected = reference_connected(n, edges)
+        outcomes.add(connected)
+        if not connected:
+            with pytest.raises(ValueError, match=f"^custom topology on {n} nodes is not connected$"):
+                build_topology("custom", n, edges=pairs)
+            continue
+        topo = build_topology("custom", n, edges=pairs)
+        assert topo.edges == edges
+        assert_weights_match_reference(topo)
+    assert outcomes == {True, False}
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        w = rng.choice([0.0, 0.0, 0.5, -0.25, np.nan], size=(n, n))
+        if rng.random() < 0.8:
+            np.fill_diagonal(w, 0.5)
+        primitive = reference_primitive(w)
+        outcomes.add(primitive)
+        assert validate_mixing(w).primitive == primitive, w
+    assert outcomes == {True, False}

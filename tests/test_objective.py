@@ -7,7 +7,7 @@ from decenopt import objective
 from decenopt.data import synthesize
 from decenopt.objective import (LogisticDataset, LogisticProblem, QuadraticProblem, sigmoid,
                                 softplus)
-from helpers import fd_gradient, mean_component_gradients
+from helpers import dissimilarity_at, fd_gradient, mean_component_gradients
 
 
 def single_sample_problem(theta, xi, reg):
@@ -384,12 +384,12 @@ def test_dissimilarity_zero_for_identical_nodes():
     prob = synthesize("homogeneous", 5, 4, 3, seed=19)
     rng = np.random.default_rng(20)
     for _ in range(10):
-        assert prob.dissimilarity_at(rng.normal(size=3)) == pytest.approx(0.0, abs=1e-26)
+        assert dissimilarity_at(prob, rng.normal(size=3)) == pytest.approx(0.0, abs=1e-26)
 
 
 def test_dissimilarity_single_node_zero():
     prob = random_logistic(1, 4, 3, seed=21)
-    assert prob.dissimilarity_at(np.random.default_rng(22).normal(size=3)) == 0.0
+    assert dissimilarity_at(prob, np.random.default_rng(22).normal(size=3)) == 0.0
 
 
 def test_dissimilarity_two_node_formula():
@@ -400,7 +400,7 @@ def test_dissimilarity_two_node_formula():
     x = np.array([0.4, -0.3])
     a = local_gradient(prob, 0, x)
     b = local_gradient(prob, 1, x)
-    assert prob.dissimilarity_at(x) == pytest.approx(np.sum(((a - b) / 2) ** 2), rel=1e-12)
+    assert dissimilarity_at(prob, x) == pytest.approx(np.sum(((a - b) / 2) ** 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +427,15 @@ def test_dataset_rejects_bad_labels():
     theta = np.ones((1, 1, 1))
     with pytest.raises(ValueError):
         LogisticDataset(features=theta, labels=np.array([[2.0]]))
+    with pytest.raises(ValueError, match=r"^labels shape \(2,\) does not match features \(1, 1\)$"):
+        LogisticDataset(features=theta, labels=np.array([1.0, -1.0]))
 
 
 def test_dataset_rejects_non_unit_features():
     with pytest.raises(ValueError):
         LogisticDataset(features=np.full((1, 1, 2), 1.0), labels=np.array([[1.0]]))
+    with pytest.raises(ValueError, match=r"^features must have shape \(n, m, p\), got \(1, 2\)$"):
+        LogisticDataset(features=np.full((1, 2), 0.5 ** 0.5), labels=np.array([[1.0]]))
     # the check covers every node block, the last one too
     theta = synthesize("heterogeneous", 3, 4, 5, seed=0, family="logistic").dataset.features.copy()
     LogisticDataset(features=theta, labels=np.ones((3, 4)))
