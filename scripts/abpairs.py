@@ -10,11 +10,12 @@ PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
 values, each side's median and quartiles, the change in the median, how
 many pairs the change won (ties count for neither side) and the
 metric's verdict (see ``verdict``). After the table it prints each
-checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it. The
-last line of its output is one JSON object with all of that: the
-workload, seeds and seconds, every pair's values, each metric's
-quartiles, change, wins and verdict, both line counts and whether every
-run was correct.
+checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it, and
+the number of CPUs the runs may use. The last line of its output is one
+JSON object with all of that: the workload, seeds and seconds, every
+pair's values, each metric's quartiles, change, wins and verdict, both
+line counts, the CPU count, each side's ``environment`` line from its
+first run (host, numpy, cores, commit) and whether every run was correct.
 
 It exits 1 if any run fails the correctness gate, else 2 if any metric's
 verdict is ``worse``, since no end-to-end metric may get worse, else 0.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -47,7 +49,17 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {done.returncode}\n"
                          f"{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    out = json.loads(lines[-1])
+    env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
+    out["environment"] = json.loads(env[0]) if env else None
+    return out
+
+
+def cpus() -> int:
+    """The CPUs this process, and so every run it starts, may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def src_lines(tree: Path) -> int:
@@ -114,6 +126,7 @@ def main(argv=None) -> int:
     sides = ("parent", "change")
     values = {side: {name: [] for name, _, _ in metrics} for side in sides}
     pairs = []
+    environment = {}
     ok = True
     for k, seed in enumerate(args.seeds):
         order = sides if k % 2 == 0 else sides[::-1]
@@ -121,6 +134,7 @@ def main(argv=None) -> int:
         for side in order:
             out = bench(getattr(args, side), args.workload, seed, args.seconds)
             ok &= bool(out["correct"]) and out["failed"] == 0
+            environment.setdefault(side, out["environment"])
             pairs[-1][side] = {name: out["metrics"][name]["value"] for name, _, _ in metrics}
             for name, _, _ in metrics:
                 values[side][name].append(out["metrics"][name]["value"])
@@ -150,6 +164,8 @@ def main(argv=None) -> int:
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
               f"{won(a, b, better):>3}/{len(a)}  {judged} ({unit})")
     print(line_counts(args.parent, args.change))
+    n_cpus = cpus()
+    print(f"CPUs available to the runs: {n_cpus}")
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
     if worse:
         print("WORSE THAN THE PARENT BEYOND ITS BOUND: " + ", ".join(worse))
@@ -157,7 +173,7 @@ def main(argv=None) -> int:
                       "pairs": pairs, "metrics": summary,
                       "src_lines": {"parent": src_lines(args.parent),
                                     "change": src_lines(args.change)},
-                      "correct": ok}))
+                      "cpus": n_cpus, "environment": environment, "correct": ok}))
     return 1 if not ok else 2 if worse else 0
 
 

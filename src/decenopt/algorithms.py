@@ -18,21 +18,14 @@ counts as one communication round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .streams import IndexStreams
 
 ALGORITHMS = ("gt-sarah", "dsgd", "dsgt")
-
-
-@dataclass
-class CostCounters:
-    """Component-gradient and communication-round totals for one run."""
-
-    grads: int = 0
-    rounds: int = 0
 
 
 @dataclass
@@ -44,7 +37,8 @@ class NetworkState:
     v^{-1,s} at a cycle start; DSGT: the last minibatch gradient). y and v
     stay None for DSGD, which does not track. (s, t) index rounds as the
     trace does: outer cycle and inner index for GT-SARAH, s = 0 and t = step
-    for the baselines. x_prev holds the state before the last round.
+    for the baselines. x_prev holds the state before the last round. grads and
+    rounds count the run's component gradients and communication rounds.
     """
 
     x: np.ndarray
@@ -53,7 +47,8 @@ class NetworkState:
     s: int = 1
     t: int = 0
     x_prev: np.ndarray | None = None
-    counters: CostCounters = field(default_factory=CostCounters)
+    grads: int = 0
+    rounds: int = 0
 
 
 def initial_state(x0: np.ndarray, n: int) -> NetworkState:
@@ -85,8 +80,8 @@ def _round(state: NetworkState, W: np.ndarray, alpha: float, d: np.ndarray,
     state.x_prev, state.x = state.x, W @ state.x
     state.x -= alpha * d
     state.t += 1
-    state.counters.grads += grads
-    state.counters.rounds += 1
+    state.grads += grads
+    state.rounds += 1
     return state
 
 
@@ -174,7 +169,7 @@ def dsgt_init(state: NetworkState, problem, B: int, rngs) -> NetworkState:
     g, cost = _minibatch(problem, state.x, B, rngs)
     state.y = g
     state.v = g
-    state.counters.grads += cost
+    state.grads += cost
     return state
 
 
@@ -230,6 +225,11 @@ def max_stepsize(n: int, B: int, q: int, lam: float, L: float,
     return alpha
 
 
+def _check_float_range(n: int, m: int) -> None:
+    if n * m > sys.float_info.max:      # an exact int-float comparison: n * m stays an int
+        raise ValueError(f"n * m exceeds the float range, got n={n}, m={m}")
+
+
 def gradient_optimal_batch(n: int, m: int, lam: float) -> int:
     """Largest minibatch that retains the best gradient complexity: floor(R)."""
     r = max(math.sqrt(m / n) * (1.0 - lam) ** 3, 1.0)
@@ -252,6 +252,7 @@ def recommend_parameters(n: int, m: int, lam: float, goal: str = "gradient") -> 
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     if min(n, m) < 1:
         raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
+    _check_float_range(n, m)
     if goal == "gradient":
         B = gradient_optimal_batch(n, m, lam)
     elif goal == "communication":
@@ -290,6 +291,7 @@ def predicted_complexity(n: int, m: int, B: int, lam: float,
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     if not (epsilon > 0 and Delta > 0) or min(n, m, B) < 1:
         raise ValueError("n, m, B, Delta, epsilon must be positive")
+    _check_float_range(n, m)
     if not (math.isfinite(Delta) and math.isfinite(epsilon)):
         raise ValueError(f"Delta and epsilon must be finite, got Delta={Delta}, epsilon={epsilon}")
     gap = 1.0 - lam

@@ -88,6 +88,9 @@ _SECTIONS = {
              "format": (str, "libsvm"), "label_rule": (str, "sign"),
              "max_samples": (int, None)},
 }
+# the [topology] keys each kind reads; custom takes its n from the edge list
+_KIND_KEYS = {"grid": ("kind", "n", "rows", "cols"), "custom": ("kind", "path"),
+              **dict.fromkeys(("complete", "ring", "path", "exponential"), ("kind", "n"))}
 _SYNTHETIC_KEYS = ("kind", "family", "m", "p", "heterogeneity")
 _FILE_KEYS = ("format", "label_rule", "max_samples")
 
@@ -185,6 +188,9 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
     topo = _read(cp, "topology", _SECTIONS["topology"])
     if topo["kind"] is None:
         raise ConfigError("[topology] needs kind")
+    for key, value in topo.items():     # an unknown kind is left to build_topology
+        if value is not None and key not in _KIND_KEYS.get(topo["kind"], topo):
+            raise ConfigError(f"section [topology]: key {key!r} does not apply to kind = {topo['kind']}")
     if topo["kind"] == "custom":
         if topo["path"] is None:
             raise ConfigError("[topology] kind=custom needs path")

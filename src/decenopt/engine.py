@@ -140,7 +140,7 @@ class _Recorder:
 
     def observe(self, state) -> int:
         """The state's def33 sample and record, each if due; the next round one is due."""
-        j = state.counters.rounds
+        j = state.rounds
         if j % self.def33_every == 0:
             self.def33_sum += def33_term(self.problem, state.x)
             self.def33_count += 1
@@ -150,10 +150,10 @@ class _Recorder:
 
     def record(self, state):
         """Append the trace record of the state at its round (s, t)."""
-        X, grads, problem = state.x, state.counters.grads, self.problem
+        X, grads, problem = state.x, state.grads, self.problem
         self.trace.records.append(TraceRecord(
             s=state.s, t=state.t, epochs=grads / (problem.n * problem.m),
-            grads_total=grads, comm_rounds=state.counters.rounds,
+            grads_total=grads, comm_rounds=state.rounds,
             stationary_gap=stationary_gap(problem, X), consensus_error=consensus_error(X),
             objective=problem.full_value(X.mean(axis=0)),
             def33_mean=self.def33_sum / max(1, self.def33_count)))
@@ -257,7 +257,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
         dsgt_init(state, problem, cfg.B, rngs)
     alpha, B, due = cfg.alpha, cfg.B, 0
     for step in rounds:
-        if state.counters.rounds == due:
+        if state.rounds == due:
             due = rec.observe(state)
         step(state, problem, W, alpha, B, rngs)
         _check_finite(state, DIVERGENCE_NORM, trace)

@@ -5,6 +5,19 @@ R^p. Node i's local cost is the mean of its m components and the global
 cost is the mean over nodes. Two families are provided: a non-convex
 logistic regression model and diagonal quadratics with closed-form optima
 for exact testing.
+
+Both families share one protocol. Attributes n, m, p give the shape
+(nodes, components per node, dimension); L is a valid mean-squared
+smoothness modulus. ``component_value(i, j, x)`` and
+``component_gradient(i, j, x)`` are the tests' independent references.
+The engine calls ``batch_gradients(X)`` (row i: node i's local gradient at
+X[i], its only oracle), ``minibatch_gradients(X, indices)`` (row i: mean of
+node i's component gradients at X[i] over the B draws indices[i], which may
+repeat; X may also stack k points as (k, n, p), giving (k, n, p) from one
+gather; ``rows``, if given, is ``gather(indices)`` made ahead, or views of
+it), ``gather(indices)`` (the tuple of sampled rows that oracle reads),
+``full_gradient(x)`` (x may also stack r points as (r, p), each row equal
+to its own call) and ``full_value(x)``.
 """
 
 from __future__ import annotations
@@ -42,35 +55,6 @@ def _coefficients(dots, neg_labels, out=None):
     is -(dots * xi) bit for bit, so negated labels save both negations."""
     dots *= neg_labels
     return np.multiply(neg_labels, sigmoid(dots), out=out)
-
-
-class FiniteSumProblem:
-    """Interface shared by all problem families.
-
-    Attributes n, m, p give the shape (nodes, components per node,
-    dimension); L is a valid mean-squared smoothness modulus. Subclasses
-    provide the component oracles (the tests' independent references) and
-    the oracles the engine calls: ``batch_gradients(X)`` (row i: node i's
-    local gradient at X[i], its only oracle), ``minibatch_gradients(X,
-    indices)`` (row i: mean of node i's component gradients at X[i] over
-    the B draws indices[i], which may repeat; X may also stack k points as
-    (k, n, p), giving (k, n, p) from one gather; ``rows``, if given, is
-    ``gather(indices)`` made ahead, or views of it), ``gather(indices)``
-    (the tuple of sampled rows that oracle reads), ``full_gradient(x)`` (x
-    may also stack r points as (r, p), each row equal to its own call) and
-    ``full_value(x)``.
-    """
-
-    n: int
-    m: int
-    p: int
-    L: float
-
-    def component_value(self, i: int, j: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def component_gradient(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +105,7 @@ class LogisticDataset:
         return self.features.shape[2]
 
 
-class LogisticProblem(FiniteSumProblem):
+class LogisticProblem:
     """Non-convex binary logistic regression.
 
     Component loss at (i, j): log(1 + exp(-(x . theta_{i,j}) xi_{i,j})) plus
@@ -187,7 +171,7 @@ class LogisticProblem(FiniteSumProblem):
         d = self.dataset
         x = np.asarray(x, dtype=float)
         coeff = np.empty((self.n,) + x.shape[:-1] + (self.m,))
-        step = max(1, self.n * self.p // x.size)
+        step = max(1, self.n * self.p // (x.size or 1))   # no points: one empty pass
         axes = tuple(range(1, x.ndim))
         for a in range(0, self.n, step):
             theta = np.expand_dims(d.features[a:a + step], axes)
@@ -218,7 +202,7 @@ class LogisticProblem(FiniteSumProblem):
 # ---------------------------------------------------------------------------
 # diagonal quadratics (exact optima for oracle tests)
 
-class QuadraticProblem(FiniteSumProblem):
+class QuadraticProblem:
     """Per-component diagonal quadratics f_{i,j}(x) = 0.5 sum_d a_d (x_d - c_d)^2.
 
     curvatures and centers have shape (n, m, p) with curvatures > 0. The

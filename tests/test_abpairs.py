@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,13 +72,17 @@ def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsy
         {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
         {"name": "rounds_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}]}))
     runs = {"parent": {"wall_s": 1.0, "rounds_per_s": 100.0}, "change": change}
+    seen = []
 
     def bench(checkout, workload, seed, seconds):
         side = checkout.name
+        seen.append(side)
         return {"correct": correct or side == "parent", "failed": 0, "attempted": 1,
-                "metrics": {name: {"value": v} for name, v in runs[side].items()}}
+                "metrics": {name: {"value": v} for name, v in runs[side].items()},
+                "environment": {"side": side, "run": len(seen)}}
 
     monkeypatch.setattr(abpairs, "bench", bench)
+    monkeypatch.setattr(abpairs, "cpus", lambda: 3)
     code = abpairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                          "--workload", "toy", "--seeds", "0-9"])
     assert code == want
@@ -88,6 +94,11 @@ def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsy
         ("toy", list(range(10)), 30.0)
     assert summary["correct"] is correct
     assert summary["src_lines"] == {"parent": 0, "change": 0}
+    # each side's environment from its first run: pair 0 runs parent, then change
+    assert summary["environment"] == {"parent": {"side": "parent", "run": 1},
+                                      "change": {"side": "change", "run": 2}}
+    assert summary["cpus"] == 3
+    assert "CPUs available to the runs: 3" in out.splitlines()
     assert [pair["first"] for pair in summary["pairs"][:2]] == ["parent", "change"]
     assert all(pair["parent"] == runs["parent"] and pair["change"] == change
                for pair in summary["pairs"])
@@ -99,3 +110,25 @@ def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsy
     assert wall["verdict"] == ("worse" if change["wall_s"] > 1.0 else "no change")
     assert {name: m["unit"] for name, m in summary["metrics"].items()} == \
         {"wall_s": "s", "rounds_per_s": "1/s"}
+
+
+def test_bench_reads_the_environment_line(tmp_path, monkeypatch):
+    env = {"numpy": "2.0", "nproc": 2}
+    stdout = ("environment " + json.dumps(env) + "\nreference fingerprints: none\n"
+              + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n")
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(abpairs.subprocess, "run", fake_run)
+    out = abpairs.bench(tmp_path, "toy", 4, 2.0)
+    assert out == {"correct": True, "failed": 0, "metrics": {}, "environment": env}
+    assert calls[0][1] == tmp_path
+    assert calls[0][0][1:] == ["perfbench/run.py", "--workload", "toy", "--seed", "4",
+                               "--seconds", "2.0", "--trace", "0"]
+
+
+def test_cpus_counts_those_this_process_may_use():
+    assert 1 <= abpairs.cpus() <= os.cpu_count()

@@ -31,8 +31,8 @@ def test_outer_init_first_cycle_tracker_equals_batch_gradients():
     assert np.allclose(st.y, v0, atol=1e-16)
     assert np.allclose(st.y.mean(axis=0), st.v.mean(axis=0), atol=1e-16)
     assert st.t == 1 and st.s == 1
-    assert st.counters.grads == 4 * 5
-    assert st.counters.rounds == 1
+    assert st.grads == 4 * 5
+    assert st.rounds == 1
 
 
 def test_outer_init_single_node_is_batch_descent():
@@ -112,8 +112,8 @@ def test_inner_step_counters_and_validation():
         gt_sarah_inner_step(st, prob, W, 0.1, 1, rngs)  # before outer init
     gt_sarah_outer_init(st, prob, W, 0.1)
     gt_sarah_inner_step(st, prob, W, 0.1, 2, rngs)
-    assert st.counters.grads == 3 * 4 + 2 * 3 * 2
-    assert st.counters.rounds == 2
+    assert st.grads == 3 * 4 + 2 * 3 * 2
+    assert st.rounds == 2
     with pytest.raises(ValueError):
         gt_sarah_inner_step(st, prob, W, 0.1, 5, rngs)  # the streams draw B = 2
 
@@ -238,7 +238,7 @@ def test_dsgd_full_pass_uses_batch_gradients():
     expected = W @ st.x - 0.2 * prob.batch_gradients(st.x)
     dsgd_step(st, prob, W, 0.2, prob.m, IndexStreams(full_pass(3), prob.m, prob.m))
     assert np.array_equal(st.x, expected)
-    assert st.counters.grads == 3 * 4
+    assert st.grads == 3 * 4
 
 
 @pytest.mark.parametrize("make", [lambda: initial_state(np.zeros(2), 3),

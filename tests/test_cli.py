@@ -213,8 +213,18 @@ def test_run_nonpositive_budget_or_cadence_is_config_error(tmp_path, capsys, old
     ("kind = ring\nn = 4", "kind = ring", "[topology] needs n"),
     ("m = 8\n", "", "[data] synthetic source needs m and p"),
     ("n = 4", "n = ten", "[topology] n = 'ten' is not a valid int"),
+    ("n = 4", "n = 4\nrows = 7\ncols = 3",
+     "section [topology]: key 'rows' does not apply to kind = ring"),
+    ("n = 4", "n = 4\nrows = 7\ncols = 3\npath = nowhere.edges",
+     "section [topology]: key 'path' does not apply to kind = ring"),
+    ("kind = ring\nn = 4", "kind = exponential\nn = 4\ncols = 4",
+     "section [topology]: key 'cols' does not apply to kind = exponential"),
+    ("kind = ring\nn = 4", "kind = grid\nn = 4\nrows = 2\ncols = 2\npath = grid.edges",
+     "section [topology]: key 'path' does not apply to kind = grid"),
+    ("kind = ring\nn = 4", "kind = custom\nn = 99\npath = /nonexistent/ring.edges",
+     "section [topology]: key 'n' does not apply to kind = custom"),
 ], ids=["no-topology", "no-kind", "custom-no-path", "custom-missing-file", "no-n", "no-m",
-        "n=ten"])
+        "n=ten", "ring-rows", "ring-path", "exponential-cols", "grid-path", "custom-n"])
 def test_incomplete_or_mistyped_config_is_config_error(tmp_path, capsys, old, new, message):
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     for extra in ([], ["--dump-config"]):
@@ -668,8 +678,10 @@ def test_plan_epsilon_scaling(capsys):
     (["--L", "1e-320"], "step size bound is not finite for L=1e-320"),
     (["--epsilon", "1e-200"], "predicted totals are not finite for Delta=1.0, epsilon=1e-200"),
     (["--delta", "1e308"], "predicted totals are not finite for Delta=1e+308, epsilon=0.1"),
+    (["--n", str(10 ** 400)], f"n * m exceeds the float range, got n={10 ** 400}, m=10"),
+    (["--m", str(10 ** 400)], f"n * m exceeds the float range, got n=4, m={10 ** 400}"),
 ], ids=["n=0", "m=0", "n=-1", "epsilon=nan", "delta=nan", "L=nan", "epsilon=inf", "delta=inf",
-        "L=inf", "L=1e-320", "epsilon=1e-200", "delta=1e308"])
+        "L=inf", "L=1e-320", "epsilon=1e-200", "delta=1e308", "n=1e400", "m=1e400"])
 def test_plan_degenerate_input_is_an_error(capsys, args, message):
     assert main(["plan", "--n", "4", "--m", "10", "--lam", "0.5", *args]) == EXIT_CONFIG
     printed = capsys.readouterr()

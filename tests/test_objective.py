@@ -303,6 +303,12 @@ def test_full_gradient_stacked_points_bitwise(family, n, m, p, density):
         assert row.tobytes() == full_gradient_reference(prob, point).tobytes()
 
 
+def test_full_gradient_of_no_points_is_empty():
+    for family in ("logistic", "quadratic"):
+        G = sparse_problem(family, 3, 4, 2, 1.0, seed=1).full_gradient(np.empty((0, 2)))
+        assert G.shape == (0, 2) and G.dtype == np.float64, family
+
+
 def logistic_oracle_reference(prob, X, indices=None):
     """The formulas the logistic oracles had before the negated labels: margins
     (theta . x) * xi, coefficients -xi * sigmoid(-margins) and the ridge term
