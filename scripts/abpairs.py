@@ -10,12 +10,14 @@ PARENT's ``BENCHMARK.json`` declares, the script prints the per-pair
 values, each side's median and quartiles, the change in the median, how
 many pairs the change won (ties count for neither side) and the
 metric's verdict (see ``verdict``). After the table it prints each
-checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` counts it, and
-the number of CPUs the runs may use. The last line of its output is one
-JSON object with all of that: the workload, seeds and seconds, every
-pair's values, each metric's quartiles, change, wins and verdict, both
-line counts, the CPU count, each side's ``environment`` line from its
-first run (host, numpy, cores, commit) and whether every run was correct.
+checkout's ``src/decenopt/*.py`` line counts, as ``wc -l`` counts them,
+per module and in total, and the number of CPUs the runs may use. The
+last line of its output is one JSON object with all of that: the
+workload, seeds and seconds, every pair's values, each metric's
+quartiles, change, wins and verdict, both line totals (``src_lines``) and
+per-module counts (``module_lines``), the CPU count, each side's
+``environment`` line from its first run (host, numpy, cores, commit) and
+whether every run was correct.
 
 It exits 1 if any run fails the correctness gate, else 2 if any metric's
 verdict is ``worse``, since no end-to-end metric may get worse, else 0.
@@ -62,9 +64,23 @@ def cpus() -> int:
     return os.cpu_count()
 
 
+def module_lines(tree: Path) -> dict[str, int]:
+    """Each ``src/decenopt/*.py`` file's line count, as ``wc -l`` counts it, by file name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "decenopt").glob("*.py"))}
+
+
 def src_lines(tree: Path) -> int:
     """A checkout's ``src/decenopt/*.py`` line count, as ``wc -l`` totals it."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "decenopt").glob("*.py"))
+    return sum(module_lines(tree).values())
+
+
+def module_table(parent: Path, change: Path) -> str:
+    """Both sides' line counts per module, '-' where a side has no such file."""
+    a, b = module_lines(parent), module_lines(change)
+    rows = [f"{'module':<20}{'parent':>8}{'change':>8}"]
+    rows += [f"{name:<20}{a.get(name, '-'):>8}{b.get(name, '-'):>8}" for name in sorted(a | b)]
+    return "\n".join(rows)
 
 
 def line_counts(parent: Path, change: Path) -> str:
@@ -163,6 +179,7 @@ def main(argv=None) -> int:
         print(f"{name:<20} {'/'.join(f'{v:.4g}' for v in qa):>30} "
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {rel:>+8.1%} "
               f"{won(a, b, better):>3}/{len(a)}  {judged} ({unit})")
+    print(module_table(args.parent, args.change))
     print(line_counts(args.parent, args.change))
     n_cpus = cpus()
     print(f"CPUs available to the runs: {n_cpus}")
@@ -173,6 +190,8 @@ def main(argv=None) -> int:
                       "pairs": pairs, "metrics": summary,
                       "src_lines": {"parent": src_lines(args.parent),
                                     "change": src_lines(args.change)},
+                      "module_lines": {"parent": module_lines(args.parent),
+                                       "change": module_lines(args.change)},
                       "cpus": n_cpus, "environment": environment, "correct": ok}))
     return 1 if not ok else 2 if worse else 0
 

@@ -5,13 +5,14 @@ DSGD and DSGT baselines, over simulated synchronous peer networks with
 doubly stochastic mixing.
 """
 
-from .algorithms import (ComplexityEstimate, NetworkState, RunConfig, max_stepsize,
-                         predicted_complexity, recommend_parameters)
+from .algorithms import NetworkState, RunConfig
 from .data import parse_csv, parse_libsvm, prepare, synthesize
-from .engine import DivergenceError, RunTrace, outer_iteration_bound, run, stationary_gap
+from .engine import DivergenceError, RunTrace, run, stationary_gap
 from .graph import (MixingMatrix, Topology, build_topology, lazy_metropolis_weights,
                     spectral_quantities, validate_mixing)
 from .objective import LogisticDataset, LogisticProblem, QuadraticProblem
+from .theory import (ComplexityEstimate, max_stepsize, outer_iteration_bound,
+                     predicted_complexity, recommend_parameters)
 
 __version__ = "0.1.0"
 

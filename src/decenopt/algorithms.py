@@ -1,4 +1,4 @@
-"""Decentralized update rules and the parameter/complexity calculators.
+"""Decentralized update rules and the run configuration.
 
 Every method runs the same synchronous round on per-node rows stacked into
 (n, p) arrays; the methods differ only in the local estimate d that a node
@@ -18,11 +18,11 @@ counts as one communication round.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import theory
 from .streams import IndexStreams
 
 ALGORITHMS = ("gt-sarah", "dsgd", "dsgt")
@@ -186,146 +186,16 @@ def dsgt_step(state: NetworkState, problem, W: np.ndarray, alpha: float,
     return _round(state, W, alpha, *_minibatch(problem, state.x, B, rngs))
 
 
-# ---------------------------------------------------------------------------
-# parameter and complexity calculators
-
-def max_stepsize(n: int, B: int, q: int, lam: float, L: float,
-                 variant: str = "complexity") -> float:
-    """Largest admissible step size for GT-SARAH.
-
-    min{ (1-lam^2)^2 / (4 sqrt(42)),
-         (n B / 6 q)^{1/2},
-         (4 n B / (7 n B + 24 q))^e * (1-lam^2) / 6 } / (2 L)
-
-    with e = 1/4 for ``variant="asymptotic"`` and e = 1/3 for
-    ``variant="complexity"`` (the tighter bound that underwrites the
-    iteration-count and complexity guarantees).
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if not L > 0:
-        raise ValueError("smoothness modulus must be positive")
-    if not math.isfinite(L):
-        raise ValueError(f"smoothness modulus must be finite, got {L}")
-    if min(n, B, q) < 1:
-        raise ValueError("n, B, q must be positive")
-    if variant == "asymptotic":
-        e = 0.25
-    elif variant == "complexity":
-        e = 1.0 / 3.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    one = 1.0 - lam * lam
-    t1 = one ** 2 / (4.0 * math.sqrt(42.0))
-    t2 = math.sqrt(n * B / (6.0 * q))
-    t3 = (4.0 * n * B / (7.0 * n * B + 24.0 * q)) ** e * one / 6.0
-    alpha = min(t1, t2, t3) / (2.0 * L)
-    if not math.isfinite(alpha):
-        raise ValueError(f"step size bound is not finite for L={L}")
-    return alpha
-
-
-def _check_float_range(n: int, m: int) -> None:
-    if n * m > sys.float_info.max:      # an exact int-float comparison: n * m stays an int
-        raise ValueError(f"n * m exceeds the float range, got n={n}, m={m}")
-
-
-def gradient_optimal_batch(n: int, m: int, lam: float) -> int:
-    """Largest minibatch that retains the best gradient complexity: floor(R)."""
-    r = max(math.sqrt(m / n) * (1.0 - lam) ** 3, 1.0)
-    return int(min(math.floor(r), m))
-
-
-def communication_optimal_batch(n: int, m: int, lam: float) -> int:
-    """Smallest minibatch attaining the best communication complexity: ceil(C)."""
-    c = max(math.sqrt(m / n) * (1.0 - lam) ** 1.5, 1.0)
-    return int(min(math.ceil(c), m))
-
-
-def recommend_parameters(n: int, m: int, lam: float, goal: str = "gradient") -> tuple:
-    """Minibatch size and inner-loop length (B, q) for the given objective.
-
-    goal="gradient" minimizes total gradient computations, goal="communication"
-    minimizes communication rounds; q = ceil(m / B) either way.
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if min(n, m) < 1:
-        raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
-    _check_float_range(n, m)
-    if goal == "gradient":
-        B = gradient_optimal_batch(n, m, lam)
-    elif goal == "communication":
-        B = communication_optimal_batch(n, m, lam)
-    else:
-        raise ValueError(f"unknown goal {goal!r}")
-    return B, max(1, math.ceil(m / B))
-
-
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Predicted totals to reach squared stationarity epsilon^2.
-
-    H counts component gradient computations across all nodes, K counts
-    communication rounds; both are the bracketed max-expressions evaluated
-    verbatim (the universal constants hidden by the theory are taken as 1).
-    """
-
-    H: float
-    K: float
-    regime: str
-    B_R: int
-    B_C: int
-
-
-def predicted_complexity(n: int, m: int, B: int, lam: float,
-                         Delta: float = 1.0, epsilon: float = 0.1) -> ComplexityEstimate:
-    """Gradient/communication complexity of GT-SARAH at minibatch size B.
-
-    H is non-decreasing and K non-increasing in B. ``Delta`` is the
-    initial-condition constant L (F(x0) - F*) + mean ||grad f_i(x0)||^2;
-    it is problem data the caller must supply (default 1 is a unit
-    placeholder, not an estimate).
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    if not (epsilon > 0 and Delta > 0) or min(n, m, B) < 1:
-        raise ValueError("n, m, B, Delta, epsilon must be positive")
-    _check_float_range(n, m)
-    if not (math.isfinite(Delta) and math.isfinite(epsilon)):
-        raise ValueError(f"Delta and epsilon must be finite, got Delta={Delta}, epsilon={epsilon}")
-    gap = 1.0 - lam
-    N = n * m
-    scale = Delta / epsilon ** 2 if epsilon ** 2 else math.inf    # 0 below epsilon ~ 1e-162
-    H = max(n * B / gap ** 2,
-            math.sqrt(N),
-            m ** (1 / 3) * n ** (2 / 3) * B ** (1 / 3) / gap) * scale
-    K = max(1.0 / gap ** 2,
-            math.sqrt(m) / (math.sqrt(n) * B),
-            m ** (1 / 3) / (n ** (1 / 3) * B ** (2 / 3) * gap)) * scale
-    if not (math.isfinite(H) and math.isfinite(K)):
-        raise ValueError(f"predicted totals are not finite for Delta={Delta}, epsilon={epsilon}")
-    if n <= math.sqrt(N) * gap ** 3:
-        regime = "big-data"
-    elif n >= math.sqrt(N) * gap ** 1.5:
-        regime = "large-network"
-    else:
-        regime = "intermediate"
-    return ComplexityEstimate(H=H, K=K, regime=regime,
-                              B_R=gradient_optimal_batch(n, m, lam),
-                              B_C=communication_optimal_batch(n, m, lam))
-
-
 @dataclass
 class RunConfig:
     """Parameters of one experiment run.
 
     alpha may be the string "auto", which resolves to
-    max_stepsize(..., variant="complexity"). For gt-sarah give S (outer
-    cycles) or epochs; for dsgd/dsgt give steps or epochs, where one epoch
-    is m component gradients per node; the budget key the method does not
-    use (steps for gt-sarah, S for the others) is a ValueError. q defaults
-    to m for gt-sarah.
+    theory.max_stepsize(..., variant="complexity"). Give S (outer cycles,
+    gt-sarah) or steps (dsgd/dsgt) or epochs, not both, where one epoch is
+    m component gradients per node; the budget key the method does not
+    use (steps for gt-sarah, S for the others) is a ValueError, and so is
+    a count beyond the float range. q defaults to m for gt-sarah.
     """
 
     algorithm: str
@@ -345,8 +215,12 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name in ("B", "q", "S", "steps", "record_every", "def33_every"):
-            if getattr(self, name) is not None and not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not value >= 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            theory._check_float_range(**{name: value})
         for name in ("alpha", "epochs"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):

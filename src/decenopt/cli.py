@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from . import algorithms, data, engine, graph
+from . import algorithms, data, engine, graph, theory
 from .objective import LogisticProblem
 
 EXIT_OK = 0
@@ -188,8 +188,11 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
     topo = _read(cp, "topology", _SECTIONS["topology"])
     if topo["kind"] is None:
         raise ConfigError("[topology] needs kind")
-    for key, value in topo.items():     # an unknown kind is left to build_topology
-        if value is not None and key not in _KIND_KEYS.get(topo["kind"], topo):
+    if topo["kind"] not in _KIND_KEYS:
+        raise ConfigError(f"unknown topology kind {topo['kind']!r}; "
+                          f"expected one of {graph.TOPOLOGY_KINDS}")
+    for key, value in topo.items():
+        if value is not None and key not in _KIND_KEYS[topo["kind"]]:
             raise ConfigError(f"section [topology]: key {key!r} does not apply to kind = {topo['kind']}")
     if topo["kind"] == "custom":
         if topo["path"] is None:
@@ -319,13 +322,13 @@ def cmd_run(args) -> int:
 
 def cmd_plan(args) -> int:
     try:
-        B_R, q_R = algorithms.recommend_parameters(args.n, args.m, args.lam, "gradient")
-        B_C, q_C = algorithms.recommend_parameters(args.n, args.m, args.lam, "communication")
+        B_R, q_R = theory.recommend_parameters(args.n, args.m, args.lam, "gradient")
+        B_C, q_C = theory.recommend_parameters(args.n, args.m, args.lam, "communication")
         B, q = (B_R, q_R) if args.goal == "gradient" else (B_C, q_C)
-        est = algorithms.predicted_complexity(args.n, args.m, B, args.lam,
-                                              Delta=args.delta, epsilon=args.epsilon)
-        alpha_c = algorithms.max_stepsize(args.n, B, q, args.lam, args.L, "complexity")
-        alpha_a = algorithms.max_stepsize(args.n, B, q, args.lam, args.L, "asymptotic")
+        est = theory.predicted_complexity(args.n, args.m, B, args.lam,
+                                          Delta=args.delta, epsilon=args.epsilon)
+        alpha_c = theory.max_stepsize(args.n, B, q, args.lam, args.L, "complexity")
+        alpha_a = theory.max_stepsize(args.n, B, q, args.lam, args.L, "asymptotic")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

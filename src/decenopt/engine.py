@@ -20,10 +20,11 @@ import numpy as np
 
 from .algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_step,
                          gt_sarah_cycle_handoff, gt_sarah_inner_step,
-                         gt_sarah_outer_init, initial_state, max_stepsize)
+                         gt_sarah_outer_init, initial_state)
 from .data import _open_text
 from .graph import spectral_quantities, validate_mixing
 from .streams import IndexStreams, node_streams
+from .theory import max_stepsize
 
 _ALG_STREAM_ID = {"gt-sarah": 0, "dsgd": 1, "dsgt": 2}
 
@@ -72,20 +73,6 @@ def def33_term(problem, X: np.ndarray) -> float:
         d = x - xbar
         total += grad_sq[key] + L2 * float(d @ d)
     return total / X.shape[0]
-
-
-def outer_iteration_bound(f0: float, f_star: float, grad_sq_mean: float,
-                          alpha: float, q: int, L: float, epsilon: float) -> int:
-    """Outer cycles sufficient to push the running def33 mean below epsilon^2.
-
-    Evaluates (4 L (f0 - f*) + mean ||grad f_i(x0)||^2) / ((q+1) alpha L eps^2)
-    and rounds up. Requires the optimal value f*, so it is only available
-    on problems where f* is known.
-    """
-    if not (alpha > 0 and L > 0 and epsilon > 0) or q < 1:
-        raise ValueError("alpha, L, epsilon must be positive and q >= 1")
-    bound = (4.0 * L * (f0 - f_star) + grad_sq_mean) / ((q + 1) * alpha * L * epsilon ** 2)
-    return max(1, math.ceil(bound))
 
 
 @dataclass(frozen=True)
@@ -173,20 +160,21 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
         raise ValueError(f"minibatch size {cfg.B} exceeds m={problem.m}")
     if cfg.x0 is not None and np.shape(cfg.x0) != (problem.p,):
         raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match (p,) = {(problem.p,)}")
+    budget = "S" if cfg.algorithm == "gt-sarah" else "steps"
+    if getattr(cfg, budget) is None and cfg.epochs is None:
+        raise ValueError(f"{cfg.algorithm} needs {budget} or epochs")
+    if getattr(cfg, budget) is not None and cfg.epochs is not None:
+        raise ValueError(f"give {budget} or epochs, not both")
     if cfg.algorithm == "gt-sarah":
         q = cfg.q if cfg.q is not None else problem.m
         S = cfg.S
         if S is None:
-            if cfg.epochs is None:
-                raise ValueError("gt-sarah needs S or epochs")
             S = max(1, round(cfg.epochs * problem.m / (problem.m + 2 * q * cfg.B)))
         cfg = replace(cfg, q=q, S=S)
         every = max(1, math.ceil((q + 1) / 4))
     else:
         steps = cfg.steps
         if steps is None:
-            if cfg.epochs is None:
-                raise ValueError(f"{cfg.algorithm} needs steps or epochs")
             steps = max(1, round(cfg.epochs * problem.m / cfg.B))
         q_eq = max(1, math.ceil(problem.m / cfg.B))
         cfg = replace(cfg, steps=steps, q=cfg.q if cfg.q is not None else q_eq)

@@ -15,6 +15,7 @@ import numpy as np
 from .data import _open_text
 
 TOPOLOGY_KINDS = ("complete", "ring", "path", "grid", "exponential", "custom")
+MIXING_TOL = 1e-12          # largest row/column sum deviation of a doubly stochastic matrix
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class MixingReport:
         ]
 
 
-def validate_mixing(entries: np.ndarray, tol: float = 1e-12) -> MixingReport:
+def validate_mixing(entries: np.ndarray) -> MixingReport:
     """Check the doubly stochastic mixing requirements on a square matrix.
 
     Primitivity is checked as connectivity of the support graph combined
@@ -205,8 +206,8 @@ def validate_mixing(entries: np.ndarray, tol: float = 1e-12) -> MixingReport:
     primitive = positive_diag and _connected(support)
     return MixingReport(
         nonnegative=bool((w >= 0).all()),
-        rows_stochastic=row_dev <= tol,
-        cols_stochastic=col_dev <= tol,
+        rows_stochastic=row_dev <= MIXING_TOL,
+        cols_stochastic=col_dev <= MIXING_TOL,
         positive_diagonal=positive_diag,
         primitive=primitive,
         max_row_deviation=row_dev,

@@ -57,6 +57,13 @@ def test_line_counts_of_two_trees(tmp_path):
             path.write_text(text)
     assert (abpairs.line_counts(tmp_path / "parent", tmp_path / "change")
             == "src/decenopt/*.py lines: parent 2, change 1 (-1)")
+    assert abpairs.module_lines(tmp_path / "parent") == {"a.py": 2, "b.py": 0}
+    assert abpairs.module_lines(tmp_path / "change") == {"a.py": 1}
+    assert abpairs.module_table(tmp_path / "parent", tmp_path / "change").splitlines() == [
+        "module                parent  change",
+        "a.py                       2       1",
+        "b.py                       0       -",
+    ]
 
 
 @pytest.mark.parametrize("change, correct, want", [
@@ -94,6 +101,7 @@ def test_exit_code_for_worse_metric_and_failed_runs(tmp_path, monkeypatch, capsy
         ("toy", list(range(10)), 30.0)
     assert summary["correct"] is correct
     assert summary["src_lines"] == {"parent": 0, "change": 0}
+    assert summary["module_lines"] == {"parent": {}, "change": {}}
     # each side's environment from its first run: pair 0 runs parent, then change
     assert summary["environment"] == {"parent": {"side": "parent", "run": 1},
                                       "change": {"side": "change", "run": 2}}

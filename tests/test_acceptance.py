@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from decenopt.algorithms import (RunConfig, gt_sarah_cycle_handoff, gt_sarah_inner_step,
-                                 gt_sarah_outer_init, initial_state, max_stepsize,
-                                 sarah_estimator)
+                                 gt_sarah_outer_init, initial_state, sarah_estimator)
 from decenopt.cli import EXIT_OK, main
 from decenopt.data import synthesize
-from decenopt.engine import outer_iteration_bound, run
+from decenopt.engine import run
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.streams import IndexStreams, node_streams
+from decenopt.theory import max_stepsize, outer_iteration_bound
 from helpers import reference_sarah
 
 

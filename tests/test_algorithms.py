@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from decenopt.algorithms import (RunConfig, baseline_state, communication_optimal_batch,
-                                 dsgd_step, dsgt_init, dsgt_step, gradient_optimal_batch,
+from decenopt.algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_step,
                                  gt_sarah_cycle_handoff, gt_sarah_inner_step,
-                                 gt_sarah_outer_init, initial_state, max_stepsize,
-                                 predicted_complexity, recommend_parameters,
-                                 sample_indices, sarah_estimator)
+                                 gt_sarah_outer_init, initial_state, sample_indices,
+                                 sarah_estimator)
 from decenopt.data import synthesize
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.streams import INDEX_BLOCK, ROW_BLOCK_BYTES, IndexStreams, node_streams
+from decenopt.theory import max_stepsize, predicted_complexity, recommend_parameters
 from helpers import full_pass, per_round_indices, reference_sarah, reference_sgd
 
 
@@ -518,8 +517,8 @@ def test_predicted_complexity_validation():
 
 def test_batch_bounds_match_definitions():
     n, m, lam = 4, 900, 0.2
-    assert gradient_optimal_batch(n, m, lam) == math.floor(max(math.sqrt(m / n) * 0.8 ** 3, 1))
-    assert communication_optimal_batch(n, m, lam) == math.ceil(max(math.sqrt(m / n) * 0.8 ** 1.5, 1))
+    assert recommend_parameters(n, m, lam, "gradient")[0] == math.floor(max(math.sqrt(m / n) * 0.8 ** 3, 1))
+    assert recommend_parameters(n, m, lam, "communication")[0] == math.ceil(max(math.sqrt(m / n) * 0.8 ** 1.5, 1))
 
 
 # ---------------------------------------------------------------------------

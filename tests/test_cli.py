@@ -223,8 +223,12 @@ def test_run_nonpositive_budget_or_cadence_is_config_error(tmp_path, capsys, old
      "section [topology]: key 'path' does not apply to kind = grid"),
     ("kind = ring\nn = 4", "kind = custom\nn = 99\npath = /nonexistent/ring.edges",
      "section [topology]: key 'n' does not apply to kind = custom"),
+    ("kind = ring", "kind = torus",
+     "unknown topology kind 'torus'; expected one of "
+     "('complete', 'ring', 'path', 'grid', 'exponential', 'custom')"),
 ], ids=["no-topology", "no-kind", "custom-no-path", "custom-missing-file", "no-n", "no-m",
-        "n=ten", "ring-rows", "ring-path", "exponential-cols", "grid-path", "custom-n"])
+        "n=ten", "ring-rows", "ring-path", "exponential-cols", "grid-path", "custom-n",
+        "unknown-kind"])
 def test_incomplete_or_mistyped_config_is_config_error(tmp_path, capsys, old, new, message):
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     for extra in ([], ["--dump-config"]):
@@ -272,6 +276,45 @@ def test_budget_key_of_other_method_is_config_error(tmp_path, capsys, old, new, 
         assert printed.err == (f"config error: section [{section}]: "
                                f"{key} does not apply to {section}\n")
         assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+BIG = 10 ** 400      # an int beyond the float range
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("q = 8", f"q = {BIG}", "gt-sarah", "q"),
+    ("S = 3", f"S = {BIG}", "gt-sarah", "S"),
+    ("B = 2", f"B = {BIG}", "dsgt", "B"),
+    ("epochs = 3", f"steps = {BIG}", "dsgt", "steps"),
+    ("S = 3", f"S = 3\nrecord_every = {BIG}", "gt-sarah", "record_every"),
+], ids=["q", "S", "B", "steps", "record_every"])
+def test_count_beyond_float_range_is_config_error(tmp_path, capsys, monkeypatch,
+                                                  old, new, section, key):
+    # q and steps used to end in an OverflowError traceback, S to run on
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    for extra in (["--dump-config"], []):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == (f"config error: section [{section}]: "
+                               f"{key} exceeds the float range, got {key}={BIG}\n")
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("S = 3", "S = 3\nepochs = 50", "gt-sarah", "S"),
+    ("epochs = 3", "epochs = 3\n\n[dsgd]\nalpha = 0.1\nsteps = 5\nepochs = 50", "dsgd", "steps"),
+], ids=["gt-sarah", "dsgd"])
+def test_budget_given_twice_is_config_error(tmp_path, capsys, monkeypatch, old, new, section, key):
+    # epochs used to be ignored next to the method's own count
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err == f"config error: section [{section}]: give {key} or epochs, not both\n"
+    assert printed.out == ""
     assert not os.path.exists(out)
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from decenopt import engine, streams
-from decenopt.algorithms import NetworkState, RunConfig, max_stepsize
+from decenopt.algorithms import NetworkState, RunConfig
 from decenopt.data import synthesize
-from decenopt.engine import (CSV_HEADER, DivergenceError, _check_finite, def33_term,
-                             outer_iteration_bound, run, stationary_gap)
+from decenopt.engine import (CSV_HEADER, DivergenceError, _check_finite, def33_term, run,
+                             stationary_gap)
 from decenopt.graph import build_topology, lazy_metropolis_weights
 from decenopt.objective import LogisticProblem
+from decenopt.theory import max_stepsize, outer_iteration_bound
 
 
 def ring_mix(n):
