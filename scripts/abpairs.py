@@ -1,6 +1,7 @@
-"""Alternating A/B pairs of perfbench runs in two checkouts.
+"""Alternating A/B pairs of perfbench or pytest runs in two checkouts.
 
     python3 scripts/abpairs.py PARENT CHANGE --workload paper-sweep --seeds 10-19 --seconds 30
+    python3 scripts/abpairs.py PARENT CHANGE --pytest tests/test_acceptance.py
 
 Each seed is one pair: ``perfbench/run.py --trace 0`` runs once in each
 checkout, parent first on even pairs and change first on odd ones, so a
@@ -21,6 +22,15 @@ whether every run was correct.
 
 It exits 1 if any run fails the correctness gate, else 2 if any metric's
 verdict is ``worse``, since no end-to-end metric may get worse, else 0.
+
+With ``--pytest SELECTOR`` in place of ``--workload`` and ``--seeds``,
+each of ``PAIRS`` pairs runs ``PYTHONPATH=src python -m pytest -q
+SELECTOR`` once in each checkout, in the same order, timed from start to
+exit; SELECTOR is split as a shell would split it, so it may carry
+options such as ``-k``. The output is the same, with ``wall_s`` the one
+metric, judged against its bound, ``pytest`` in place of the workload,
+seeds and seconds in the JSON line, and a failed pytest run counted as a
+run that fails the correctness gate.
 """
 
 from __future__ import annotations
@@ -28,10 +38,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+PAIRS = 10      # pairs of pytest runs, as many as a workload's check takes seeds
+
 
 
 def seeds(text: str) -> list[int]:
@@ -55,6 +70,21 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
     out["environment"] = json.loads(env[0]) if env else None
     return out
+
+
+def pytest_run(checkout: Path, selector: str) -> dict:
+    """One ``PYTHONPATH=src python -m pytest -q SELECTOR`` in ``checkout``, timed
+    from start to exit, as ``bench`` reports a run: ``wall_s`` its one metric."""
+    cmd = [sys.executable, "-m", "pytest", "-q", *shlex.split(selector)]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        print(f"{checkout}: {' '.join(cmd[1:])} exited {done.returncode}\n"
+              f"{done.stdout[-2000:]}{done.stderr[-2000:]}", file=sys.stderr)
+    return {"correct": done.returncode == 0, "failed": int(done.returncode != 0),
+            "attempted": 1, "metrics": {"wall_s": {"value": wall}}, "environment": None}
 
 
 def cpus() -> int:
@@ -131,36 +161,55 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 10-19 or 3,5,8")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="a perfbench workload")
+    mode.add_argument("--pytest", metavar="SELECTOR", help="a pytest selection to time")
+    ap.add_argument("--seeds", type=seeds, help="perfbench seeds, one pair each: 10-19 or 3,5,8")
     ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    if args.pytest is not None:
+        metrics = [metric for metric in metrics if metric[0] == "wall_s"]
+        what, pair_seeds = {"pytest": args.pytest}, [None] * PAIRS
+        title = f"pytest -q {args.pytest}, {PAIRS} pairs"
+
+        def run(checkout, seed):
+            return pytest_run(checkout, args.pytest)
+    elif args.seeds is None:
+        ap.error("--workload needs --seeds")
+    else:
+        what = {"workload": args.workload, "seeds": args.seeds, "seconds": args.seconds}
+        pair_seeds = args.seeds
+        title = (f"{args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s runs, "
+                 f"seeds {','.join(map(str, args.seeds))}")
+
+        def run(checkout, seed):
+            return bench(checkout, args.workload, seed, args.seconds)
+
     sides = ("parent", "change")
     values = {side: {name: [] for name, _, _ in metrics} for side in sides}
     pairs = []
     environment = {}
     ok = True
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(pair_seeds):
         order = sides if k % 2 == 0 else sides[::-1]
         pairs.append({"seed": seed, "first": order[0]})
         for side in order:
-            out = bench(getattr(args, side), args.workload, seed, args.seconds)
+            out = run(getattr(args, side), seed)
             ok &= bool(out["correct"]) and out["failed"] == 0
             environment.setdefault(side, out["environment"])
             pairs[-1][side] = {name: out["metrics"][name]["value"] for name, _, _ in metrics}
             for name, _, _ in metrics:
                 values[side][name].append(out["metrics"][name]["value"])
-            print(f"pair {k} seed {seed} {side}: correct={out['correct']} "
-                  f"failed={out['failed']}/{out['attempted']} "
+            print(f"pair {k}{'' if seed is None else f' seed {seed}'} {side}: "
+                  f"correct={out['correct']} failed={out['failed']}/{out['attempted']} "
                   + " ".join(f"{name}={out['metrics'][name]['value']:.4g}"
                              for name, _, _ in metrics), flush=True)
 
-    print(f"\n{args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s runs, "
-          f"seeds {','.join(map(str, args.seeds))}")
+    print(f"\n{title}")
     print(f"{'metric':<20} {'parent p25/med/p75':>30} {'change p25/med/p75':>30} "
           f"{'change':>8} {'won':>6}  verdict")
     worse = []
@@ -186,8 +235,7 @@ def main(argv=None) -> int:
     print("every run correct with 0 failed" if ok else "SOME RUNS FAILED THE CORRECTNESS GATE")
     if worse:
         print("WORSE THAN THE PARENT BEYOND ITS BOUND: " + ", ".join(worse))
-    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
-                      "pairs": pairs, "metrics": summary,
+    print(json.dumps({**what, "pairs": pairs, "metrics": summary,
                       "src_lines": {"parent": src_lines(args.parent),
                                     "change": src_lines(args.change)},
                       "module_lines": {"parent": module_lines(args.parent),

@@ -194,8 +194,9 @@ class RunConfig:
     theory.max_stepsize(..., variant="complexity"). Give S (outer cycles,
     gt-sarah) or steps (dsgd/dsgt) or epochs, not both, where one epoch is
     m component gradients per node; the budget key the method does not
-    use (steps for gt-sarah, S for the others) is a ValueError, and so is
-    a count beyond the float range. q defaults to m for gt-sarah.
+    use (steps for gt-sarah, S for the others) is a ValueError, as are a
+    count beyond the float range and a negative seed or replicate. q
+    defaults to m for gt-sarah.
     """
 
     algorithm: str
@@ -221,6 +222,9 @@ class RunConfig:
             if not value >= 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
             theory._check_float_range(**{name: value})
+        for name in ("seed", "replicate"):      # numpy seeds only nonnegative ints
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         for name in ("alpha", "epochs"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):

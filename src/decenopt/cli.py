@@ -207,6 +207,9 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
     spec = _read(cp, "data", _SECTIONS["data"])
     if spec["seed"] is None:
         spec["seed"] = exp["seed"]
+    for sec, seed in (("experiment", exp["seed"]), ("data", spec["seed"])):
+        if seed < 0:        # numpy seeds only nonnegative ints
+            raise ConfigError(f"[{sec}] seed must be at least 0, got {seed}")
     synthetic = spec["source"] == "synthetic"
     for key in _FILE_KEYS if synthetic else _SYNTHETIC_KEYS:
         del spec[key]
@@ -266,9 +269,6 @@ def cmd_run(args) -> int:
                      if getattr(args, key, None) is not None}     # --seed, --out, ...
         cfg = replace(cfg, **overrides)     # re-checks replicates and workers
         cfg.algorithms = [(lbl, replace(rc, seed=cfg.seed)) for lbl, rc in cfg.algorithms]
-        if args.dump_config:
-            sys.stdout.write(dump_config(cfg))
-            return EXIT_OK
         topo = cfg.topology()
         mix = graph.lazy_metropolis_weights(topo)
         problem = cfg.problem()
@@ -277,6 +277,9 @@ def cmd_run(args) -> int:
                 engine.resolve(rc, problem, mix.lam)
             except ValueError as exc:
                 raise ConfigError(f"section [{label}]: {exc}") from None
+        if args.dump_config:        # every check above has passed; no job starts
+            sys.stdout.write(dump_config(cfg))
+            return EXIT_OK
         os.makedirs(cfg.out, exist_ok=True)     # a file in the way is a config error
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -372,7 +375,7 @@ def main(argv=None) -> int:
     r.add_argument("--replicates", type=int, help="replicate count (overrides config)")
     r.add_argument("--workers", type=int, help="threads running the jobs (overrides config)")
     r.add_argument("--dump-config", action="store_true",
-                   help="echo the canonical config and exit")
+                   help="run every check a run makes, echo the canonical config and exit")
     r.set_defaults(func=cmd_run)
 
     p = sub.add_parser("plan", help="recommended parameters and predicted complexity")

@@ -13,6 +13,7 @@ at t = q+1 of the last cycle); dsgd/dsgt records carry s = 0 and t = step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
@@ -167,15 +168,17 @@ def resolve(config: RunConfig, problem, lam: float) -> RunConfig:
         raise ValueError(f"give {budget} or epochs, not both")
     if cfg.algorithm == "gt-sarah":
         q = cfg.q if cfg.q is not None else problem.m
-        S = cfg.S
-        if S is None:
-            S = max(1, round(cfg.epochs * problem.m / (problem.m + 2 * q * cfg.B)))
-        cfg = replace(cfg, q=q, S=S)
+        S = cfg.S or max(1, cfg.epochs * problem.m / (problem.m + 2 * q * cfg.B))
+        count, rounds = "S * (q + 1)", S * (q + 1)
+    else:
+        count, rounds = "steps", cfg.steps or max(1, cfg.epochs * problem.m / cfg.B)
+    if rounds > sys.maxsize:    # a count from epochs stays a float until here: it may be inf
+        raise ValueError(f"round count {count} = {rounds} exceeds sys.maxsize = {sys.maxsize}")
+    if cfg.algorithm == "gt-sarah":
+        cfg = replace(cfg, q=q, S=round(S))
         every = max(1, math.ceil((q + 1) / 4))
     else:
-        steps = cfg.steps
-        if steps is None:
-            steps = max(1, round(cfg.epochs * problem.m / cfg.B))
+        steps = round(rounds)
         q_eq = max(1, math.ceil(problem.m / cfg.B))
         cfg = replace(cfg, steps=steps, q=cfg.q if cfg.q is not None else q_eq)
         every = max(1, math.ceil((steps + 1) / 40))

@@ -139,5 +139,9 @@ def outer_iteration_bound(f0: float, f_star: float, grad_sq_mean: float,
     if not (alpha > 0 and L > 0 and epsilon > 0) or q < 1:
         raise ValueError("alpha, L, epsilon must be positive and q >= 1")
     _check_float_range(q=q)
-    bound = (4.0 * L * (f0 - f_star) + grad_sq_mean) / ((q + 1) * alpha * L * epsilon ** 2)
+    denom = (q + 1) * alpha * L * epsilon ** 2      # 0 once it underflows
+    bound = (4.0 * L * (f0 - f_star) + grad_sq_mean) / denom if denom else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"outer iteration bound is not finite for f0={f0}, f_star={f_star}, "
+                         f"grad_sq_mean={grad_sq_mean}, alpha={alpha}, L={L}, epsilon={epsilon}")
     return max(1, math.ceil(bound))

@@ -140,3 +140,80 @@ def test_bench_reads_the_environment_line(tmp_path, monkeypatch):
 
 def test_cpus_counts_those_this_process_may_use():
     assert 1 <= abpairs.cpus() <= os.cpu_count()
+
+
+def stub_checkout(root, name, test_body):
+    """A checkout holding one test module, its BENCHMARK.json and a src/ to import from."""
+    tree = root / name
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "stubpkg.py").write_text(f"SIDE = {name!r}\n")
+    (tree / "tests").mkdir()
+    (tree / "tests" / "test_stub.py").write_text(
+        "import stubpkg\n\n\ndef test_side():\n" + test_body)
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
+    return tree
+
+
+def test_pytest_mode_runs_each_checkout_with_its_own_src(tmp_path, monkeypatch, capsys):
+    # the same assertion passes on the parent's src and fails on the change's
+    body = "    assert stubpkg.SIDE == 'parent'\n"
+    parent, change = (stub_checkout(tmp_path, side, body) for side in ("parent", "change"))
+    monkeypatch.setattr(abpairs, "PAIRS", 2)
+    code = abpairs.main([str(parent), str(change), "--pytest", "tests/test_stub.py -k side"])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in out[:4]] == [
+        "pair 0 parent", "pair 0 change", "pair 1 change", "pair 1 parent"]
+    assert ["correct=False" in line for line in out[:4]] == [False, True, True, False]
+    summary = json.loads(out[-1])
+    assert (summary["pytest"], len(summary["pairs"]), summary["correct"]) == \
+        ("tests/test_stub.py -k side", 2, False)
+    assert all(pair[side]["wall_s"] > 0 for pair in summary["pairs"]
+               for side in ("parent", "change"))
+    assert summary["metrics"]["wall_s"]["bound"] == 0.24
+
+
+@pytest.mark.parametrize("change_wall, passed, want, judged", [
+    (1.0, True, 0, "no change"),
+    (1.5, True, 2, "worse"),
+    (0.5, True, 0, "gain"),
+    (1.0, False, 1, "no change"),      # a failed run outranks the timing
+])
+def test_pytest_mode_verdict_and_exit_code(tmp_path, monkeypatch, capsys,
+                                           change_wall, passed, want, judged):
+    # wall_s is the one metric judged, whatever else BENCHMARK.json declares
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+        {"name": "rounds_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}]}))
+    calls = []
+
+    def pytest_run(checkout, selector):
+        calls.append((checkout.name, selector))
+        wall, ok = (1.0, True) if checkout.name == "parent" else (change_wall, passed)
+        return {"correct": ok, "failed": int(not ok), "attempted": 1,
+                "metrics": {"wall_s": {"value": wall}}, "environment": None}
+
+    monkeypatch.setattr(abpairs, "pytest_run", pytest_run)
+    code = abpairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--pytest", "tests/test_x.py"])
+    assert code == want
+    assert len(calls) == 20 and {selector for _, selector in calls} == {"tests/test_x.py"}
+    assert [side for side, _ in calls[:4]] == ["parent", "change", "change", "parent"]
+    out = capsys.readouterr().out
+    summary = json.loads(out.splitlines()[-1])
+    assert [(pair["parent"], pair["change"]) for pair in summary["pairs"]] == \
+        [({"wall_s": 1.0}, {"wall_s": change_wall})] * 10
+    assert list(summary["metrics"]) == ["wall_s"]
+    assert summary["metrics"]["wall_s"]["verdict"] == judged
+    assert summary["metrics"]["wall_s"]["won"] == (10 if change_wall < 1.0 else 0)
+    assert summary["correct"] is passed
+    assert "pytest -q tests/test_x.py, 10 pairs" in out.splitlines()
+
+
+def test_workload_mode_needs_seeds(tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    with pytest.raises(SystemExit):
+        abpairs.main([str(tmp_path), str(tmp_path), "--workload", "toy"])
+    assert "--workload needs --seeds" in capsys.readouterr().err

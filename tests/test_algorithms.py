@@ -554,6 +554,15 @@ def test_runconfig_rejects_nonpositive_def33_cadence():
         RunConfig(algorithm="dsgd", steps=5, def33_every=0)
 
 
+@pytest.mark.parametrize("key", ["seed", "replicate"])
+def test_runconfig_rejects_negative_seed_or_replicate(key):
+    # numpy used to reject them in a worker thread, after the jobs had started;
+    # replicate has no INI key, a negative seed is checked through the CLI too
+    with pytest.raises(ValueError, match=f"^{key} must be at least 0, got -1$"):
+        RunConfig(algorithm="dsgd", steps=5, **{key: -1})
+    assert getattr(RunConfig(algorithm="dsgd", steps=5, **{key: 0}), key) == 0
+
+
 @pytest.mark.parametrize("algorithm, budget", [
     ("dsgd", dict(S=5, epochs=1)), ("dsgt", dict(S=5, steps=3)),
     ("gt-sarah", dict(steps=7, epochs=3)), ("gt-sarah", dict(S=2, steps=7)),

@@ -2,6 +2,7 @@ import configparser
 import io
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -173,20 +174,26 @@ def test_run_no_algorithms(tmp_path):
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
 
-def test_run_oversized_minibatch_is_config_error(tmp_path, capsys):
+def test_run_oversized_minibatch_is_config_error(tmp_path, capsys, monkeypatch):
     text = BASE_CONFIG.replace("m = 8", "m = 4").replace("B = 2", "B = 8")
     cfg, out = write_config(tmp_path, text)
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "config error: section [dsgt]: minibatch size 8 exceeds m=4\n"
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == "config error: section [dsgt]: minibatch size 8 exceeds m=4\n"
+        assert printed.out == ""
     assert not os.path.exists(out)
 
 
-def test_run_missing_budget_is_config_error(tmp_path, capsys):
+def test_run_missing_budget_is_config_error(tmp_path, capsys, monkeypatch):
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace("S = 3\n", ""))
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "config error: section [gt-sarah]: gt-sarah needs S or epochs\n"
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == "config error: section [gt-sarah]: gt-sarah needs S or epochs\n"
+        assert printed.out == ""
     assert not os.path.exists(out)
 
 
@@ -255,10 +262,11 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, monkeypatch, old, n
     # each used to run and diverge, crash, or fail with a message naming another value
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     monkeypatch.setattr(engine, "run", None)    # no job may start
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
-    printed = capsys.readouterr()
-    assert printed.err == f"config error: {message}\n"
-    assert printed.out == ""
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: {message}\n"
+        assert printed.out == ""
     assert not os.path.exists(out)
 
 
@@ -311,10 +319,49 @@ def test_budget_given_twice_is_config_error(tmp_path, capsys, monkeypatch, old, 
     # epochs used to be ignored next to the method's own count
     cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     monkeypatch.setattr(engine, "run", None)    # no job may start
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
-    printed = capsys.readouterr()
-    assert printed.err == f"config error: section [{section}]: give {key} or epochs, not both\n"
-    assert printed.out == ""
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == (f"config error: section [{section}]: "
+                               f"give {key} or epochs, not both\n")
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+MAXSIZE = f"exceeds sys.maxsize = {sys.maxsize}"
+
+
+@pytest.mark.parametrize("old, new, flags, message", [
+    ("kind = ring\nn = 4", "kind = grid\nn = 4\nrows = 2\ncols = 3", [],
+     "grid dimensions 2x3 do not match n=4"),
+    ("n = 4", "n = 0", [], "node count must be positive, got 0"),
+    ("family = quadratic", "family = cubic", [], "unknown family 'cubic'"),
+    ("kind = heterogeneous", "kind = mixed", [], "unknown kind 'mixed'"),
+    ("m = 8", "m = 0", [], "n, m, p must be positive"),
+    ("family = quadratic", "family = logistic\nreg = -1", [],
+     "regularization weight must be nonnegative"),
+    ("epochs = 3", "epochs = 1e300", [], f"section [dsgt]: round count steps = 4e+300 {MAXSIZE}"),
+    ("epochs = 3", "epochs = 1e308", [], f"section [dsgt]: round count steps = inf {MAXSIZE}"),
+    ("S = 3", "epochs = 1e308", [],
+     f"section [gt-sarah]: round count S * (q + 1) = inf {MAXSIZE}"),
+    ("q = 8", f"q = {10 ** 30}", [],
+     f"section [gt-sarah]: round count S * (q + 1) = {3 * (10 ** 30 + 1)} {MAXSIZE}"),
+    ("", "", ["--seed", "-1"], "seed must be at least 0, got -1"),
+    ("seed = 42", "seed = -1", [], "[experiment] seed must be at least 0, got -1"),
+    ("p = 3", "p = 3\nseed = -2", [], "[data] seed must be at least 0, got -2"),
+], ids=["grid-4-as-2x3", "n=0", "family=cubic", "kind=mixed", "m=0", "reg=-1",
+        "epochs=1e300", "dsgt-epochs=1e308", "gt-sarah-epochs=1e308", "q=1e30", "--seed=-1",
+        "seed=-1", "data-seed=-2"])
+def test_dump_config_stops_where_the_run_stops(tmp_path, capsys, monkeypatch,
+                                               old, new, flags, message):
+    # --dump-config used to pass each of these with exit 0 while the run failed or crashed
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *flags, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: {message}\n"
+        assert printed.out == ""
     assert not os.path.exists(out)
 
 
@@ -516,6 +563,19 @@ def file_source_config(tmp_path, keys="format = libsvm\nlabel_rule = sign"):
         "source = synthetic\nfamily = quadratic\nkind = heterogeneous\nm = 8\np = 3",
         f"source = {data_path}\n{keys}")
     return write_config(tmp_path, text)
+
+
+def test_minibatch_beyond_the_dealt_m_is_config_error(tmp_path, capsys, monkeypatch):
+    # 40 samples dealt to 4 nodes give m = 10; only a read of the file can tell
+    cfg, out = file_source_config(tmp_path)
+    Path(cfg).write_text(Path(cfg).read_text().replace("B = 2", "B = 11"))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == "config error: section [dsgt]: minibatch size 11 exceeds m=10\n"
+        assert printed.out == ""
+    assert not os.path.exists(out)
 
 
 def test_config_file_data_source(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -45,3 +46,18 @@ def test_formulas_live_only_in_theory():
 def test_complexity_estimate_holds_only_its_totals():
     est = predicted_complexity(10, 1000, 1, 0.5)
     assert list(vars(est)) == ["H", "K", "regime"]
+
+
+@pytest.mark.parametrize("f0, L, epsilon, shown", [
+    (1.5, 2.0, 1e-200, "f0=1.5, f_star=1.0, grad_sq_mean=0.3, alpha=0.01, L=2.0, epsilon=1e-200"),
+    (math.nan, 2.0, 0.1, "f0=nan, f_star=1.0, grad_sq_mean=0.3, alpha=0.01, L=2.0, epsilon=0.1"),
+    (1.5, math.inf, 0.1, "f0=1.5, f_star=1.0, grad_sq_mean=0.3, alpha=0.01, L=inf, epsilon=0.1"),
+    (math.inf, 2.0, 0.1, "f0=inf, f_star=1.0, grad_sq_mean=0.3, alpha=0.01, L=2.0, epsilon=0.1"),
+], ids=["epsilon-squared-underflows", "f0=nan", "L=inf", "f0=inf"])
+def test_outer_iteration_bound_names_degenerate_inputs(f0, L, epsilon, shown):
+    # these used to raise ZeroDivisionError, OverflowError or a NaN-to-integer error
+    with pytest.raises(ValueError) as info:
+        outer_iteration_bound(f0, 1.0, 0.3, 0.01, 8, L, epsilon)
+    assert str(info.value) == f"outer iteration bound is not finite for {shown}"
+    # (4 L (f0 - f*) + 0.3) / ((q + 1) alpha L eps^2) = 4.3 / 0.0018, rounded up
+    assert outer_iteration_bound(1.5, 1.0, 0.3, 0.01, 8, 2.0, 0.1) == 2389
