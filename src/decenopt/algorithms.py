@@ -69,15 +69,17 @@ def _round(state: NetworkState, W: np.ndarray, alpha: float, d: np.ndarray,
     """The shared round: track d if the state tracks, then mix and descend.
 
     Charges ``grads`` component gradients (the cost of producing d) and
-    one communication round.
+    one communication round. alpha may be a 0-d float64 array, as the
+    engine passes it: the same bits as the float, at a cheaper ufunc call.
     """
-    # in place only on the fresh products of W: state may share y with v
+    # in place only on the fresh products of W: state may share y with v;
+    # W.dot is W @ bit for bit on a C-contiguous W, without matmul's dispatch
     if state.y is not None:
-        y = W @ state.y
+        y = W.dot(state.y)
         y += d
         y -= state.v
         state.y, state.v, d = y, d, y
-    state.x_prev, state.x = state.x, W @ state.x
+    state.x_prev, state.x = state.x, W.dot(state.x)
     state.x -= alpha * d
     state.t += 1
     state.grads += grads

@@ -76,7 +76,8 @@ def cmd_weights(args) -> int:
 
 # The config schema: each key with its type and default (None: unset), in
 # dump order. An algorithm section passes only the keys it sets, so RunConfig's
-# own defaults apply; [data] keeps its file or its synthetic keys, by source.
+# own defaults apply; [data] keeps its file or its synthetic keys, by source,
+# and reg only where the family reads it.
 _SECTIONS = {
     "experiment": {"seed": (int, 0), "replicates": (int, 1), "out": (str, "runs"),
                    "workers": (int, 1), "record_every": (int, None)},
@@ -130,10 +131,10 @@ class ExperimentConfig:
 
     def problem(self):
         d, n = self.data_spec, self.topology_spec["n"]
-        if d["source"] == "synthetic":
+        if d["source"] == "synthetic":     # a quadratic spec has no reg; synthesize reads none
             return data.synthesize(d["kind"], n, d["m"], d["p"], seed=d["seed"],
                                    family=d["family"], heterogeneity=d["heterogeneity"],
-                                   reg=d["reg"])
+                                   reg=d.get("reg", 0.0))
         raw = data.parse_libsvm(d["source"]) if d["format"] == "libsvm" else data.parse_csv(d["source"])
         rule = _label_rule(d["label_rule"])
         dataset, _ = data.prepare(raw, n, seed=d["seed"], label_rule=rule, reg=d["reg"],
@@ -211,7 +212,15 @@ def parse_experiment(path_or_file) -> ExperimentConfig:
         if seed < 0:        # numpy seeds only nonnegative ints
             raise ConfigError(f"[{sec}] seed must be at least 0, got {seed}")
     synthetic = spec["source"] == "synthetic"
-    for key in _FILE_KEYS if synthetic else _SYNTHETIC_KEYS:
+    # each key the source does not read, with what rules it out; a file source
+    # still drops the synthetic keys unasked (perfbench's TINY config sets them)
+    unread = (dict.fromkeys(_FILE_KEYS, "source = synthetic") if synthetic
+              else dict.fromkeys(_SYNTHETIC_KEYS))
+    if synthetic and spec["family"] == "quadratic":
+        unread["reg"] = "family = quadratic"
+    for key, why in unread.items():
+        if why and cp.has_option("data", key):
+            raise ConfigError(f"section [data]: key {key!r} does not apply to {why}")
         del spec[key]
     if synthetic and (spec["m"] is None or spec["p"] is None):
         raise ConfigError("[data] synthetic source needs m and p")

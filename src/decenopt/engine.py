@@ -216,7 +216,8 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
     default the origin). Raises DivergenceError (with the partial trace
     attached) if the state norm exceeds DIVERGENCE_NORM or turns non-finite.
     """
-    W = np.asarray(getattr(weights, "entries", weights), dtype=float)
+    # C order once: a product with W then depends on its values, not its layout
+    W = np.ascontiguousarray(getattr(weights, "entries", weights), dtype=float)
     if W.shape != (problem.n, problem.n):
         raise ValueError(f"weights shape {W.shape} does not match n={problem.n}")
     lam = getattr(weights, "lam", None)
@@ -246,7 +247,7 @@ def run(problem, weights, config: RunConfig) -> RunTrace:
                         problem.m, cfg.B, draws, gather=problem.gather)
     if cfg.algorithm == "dsgt":
         dsgt_init(state, problem, cfg.B, rngs)
-    alpha, B, due = cfg.alpha, cfg.B, 0
+    alpha, B, due = np.array(cfg.alpha, dtype=float), cfg.B, 0
     for step in rounds:
         if state.rounds == due:
             due = rec.observe(state)

@@ -31,6 +31,8 @@ try:    # what np.einsum calls when optimize=False, without its Python-level dis
 except ImportError:     # numpy 1.x: the public function, the same bytes at its speed
     _einsum = np.einsum
 
+_ONE = np.array(1.0)    # a 0-d operand: a cheaper ufunc call than the float, the same bits
+
 
 def softplus(z):
     """log(1 + e^z), overflow-safe: max(z, 0) + log1p(e^{-|z|})."""
@@ -44,8 +46,8 @@ def sigmoid(z):
     """
     z = np.asarray(z, dtype=float)
     e = np.exp(np.minimum(z, -z))
-    out = np.maximum(e, z >= 0)
-    e += 1.0
+    out = np.maximum(e, np.sign(z))   # sign is 1 above 0, below e elsewhere: no bool cast
+    e += _ONE
     out /= e
     return out
 
@@ -122,7 +124,7 @@ class LogisticProblem:
         self.L = 0.25 + 2.0 * dataset.reg
         self._rows = np.arange(self.n)[:, None]
         self._neg_labels = -dataset.labels
-        self._two_reg = 2.0 * dataset.reg
+        self._two_reg = np.array(2.0 * dataset.reg)
 
     def _reg_value(self, x):
         x2 = x * x
@@ -130,7 +132,7 @@ class LogisticProblem:
 
     def _reg_gradient(self, x):
         den = x * x
-        den += 1.0
+        den += _ONE
         den *= den
         out = self._two_reg * x
         out /= den

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from decenopt.algorithms import (RunConfig, baseline_state, dsgd_step, dsgt_init, dsgt_step,
-                                 gt_sarah_cycle_handoff, gt_sarah_inner_step,
+from decenopt.algorithms import (NetworkState, RunConfig, _round, baseline_state, dsgd_step,
+                                 dsgt_init, dsgt_step, gt_sarah_cycle_handoff, gt_sarah_inner_step,
                                  gt_sarah_outer_init, initial_state, sample_indices,
                                  sarah_estimator)
 from decenopt.data import synthesize
@@ -298,6 +298,46 @@ def test_dsgt_full_batch_deterministic_tracking_converges():
     assert np.linalg.norm(prob.full_gradient(xbar)) <= 1e-9
     assert np.linalg.norm(st.x - xbar) <= 1e-9
     assert np.allclose(xbar, prob.minimizer(), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# round kernels
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 10, 16, 20, 33, 64, 100])
+def test_dot_matches_matmul_bitwise(n):
+    # the round mixes by W.dot on the C-ordered W that engine.run makes
+    rng = np.random.default_rng(n)
+    W = rng.random((n, n))
+    W /= W.sum(axis=1, keepdims=True)
+    for p in (1, 2, 3, 7, 10, 64, 100, 128):
+        x = rng.normal(size=(n, p))
+        for layout in (x, np.asfortranarray(x)):
+            assert W.dot(layout).tobytes() == (W @ layout).tobytes(), (n, p)
+
+
+def round_states(n, p, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, p))
+    return {"untracked": NetworkState(x=rng.normal(size=(n, p)), s=0),
+            "tracked": NetworkState(x=rng.normal(size=(n, p)), y=rng.normal(size=(n, p)),
+                                    v=rng.normal(size=(n, p))),
+            "y-is-v": NetworkState(x=rng.normal(size=(n, p)), y=g, v=g, s=0)}
+
+
+@pytest.mark.parametrize("n, p", [(4, 1), (10, 10), (20, 128)])
+def test_round_with_0d_alpha_matches_float_alpha(n, p):
+    W = ring_mix(n).entries
+    rng = np.random.default_rng(n * p)
+    ds = [rng.normal(size=(n, p)) for _ in range(5)]
+    for name in round_states(n, p, seed=p):
+        runs = []
+        for alpha in (0.3, np.array(0.3)):
+            st = round_states(n, p, seed=p)[name]
+            for d in ds:
+                _round(st, W, alpha, d.copy(), grads=2)
+            runs.append([None if a is None else a.tobytes() for a in (st.x, st.x_prev, st.y, st.v)]
+                        + [st.t, st.grads, st.rounds])
+        assert runs[0] == runs[1], name
 
 
 def test_sample_indices_shape_and_order_independence():

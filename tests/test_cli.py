@@ -251,7 +251,7 @@ def test_incomplete_or_mistyped_config_is_config_error(tmp_path, capsys, old, ne
     ("alpha = 0.05", "alpha = inf", "section [gt-sarah]: alpha must be finite, got inf"),
     ("epochs = 3", "epochs = inf", "section [dsgt]: epochs must be finite, got inf"),
     ("epochs = 3", "epochs = nan", "section [dsgt]: epochs must be finite, got nan"),
-    ("p = 3", "p = 3\nreg = nan", "reg must be finite, got nan"),
+    ("family = quadratic", "family = logistic\nreg = nan", "reg must be finite, got nan"),
     ("family = quadratic", "family = logistic\nreg = inf", "reg must be finite, got inf"),
     ("family = quadratic", "family = logistic\nheterogeneity = nan",
      "heterogeneity must be finite, got nan"),
@@ -361,6 +361,27 @@ def test_dump_config_stops_where_the_run_stops(tmp_path, capsys, monkeypatch,
         assert main(["run", "--config", cfg, *flags, *extra]) == EXIT_CONFIG
         printed = capsys.readouterr()
         assert printed.err == f"config error: {message}\n"
+        assert printed.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, rule", [
+    ("reg = -1", "family = quadratic"),
+    ("format = csv", "source = synthetic"),
+    ("label_rule = sign", "source = synthetic"),
+    ("max_samples = 5", "source = synthetic"),
+], ids=["quadratic-reg", "synthetic-format", "synthetic-label_rule", "synthetic-max_samples"])
+def test_data_key_the_source_does_not_read_is_config_error(tmp_path, capsys, monkeypatch,
+                                                            key, rule):
+    # each used to pass with exit 0 and change nothing
+    cfg, out = write_config(tmp_path, BASE_CONFIG.replace("p = 3", f"p = 3\n{key}"))
+    monkeypatch.setattr(engine, "run", None)    # no job may start
+    name = key.split(" = ")[0]
+    for extra in ([], ["--dump-config"]):
+        assert main(["run", "--config", cfg, *extra]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.err == (f"config error: section [data]: key {name!r} "
+                               f"does not apply to {rule}\n")
         assert printed.out == ""
     assert not os.path.exists(out)
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import math
 import re
@@ -360,6 +361,35 @@ def test_run_rejects_mismatched_weights():
     prob = synthesize("heterogeneous", 3, 4, 2, seed=25)
     with pytest.raises(ValueError):
         run(prob, ring_mix(4), RunConfig(algorithm="dsgd", alpha=0.1, steps=5))
+
+
+# SHA-256 of the CSV bytes and final_x of each p = 1 run below with a
+# C-ordered W, recorded before engine.run made W C-contiguous.
+C_ORDER_P1 = {
+    (4, "gt-sarah"): "07d215f4452475ee4be385eb41dd19978b85b349b3fe74f49b8ef9e9237bface",
+    (4, "dsgt"): "913e54594f8ce6a436dc2e0b56525be95717e83484ffa0dfd40b9a23d8e06ea6",
+    (4, "dsgd"): "9c0fb3367faee67a82e375101240ccb395ccf4a102dbe4b8d08a1d5eee734202",
+    (10, "gt-sarah"): "b87fc5c4a91debe1c9d03ef81a6dfcf1183a069bf4cd0eb1ff140e4474ebf6eb",
+    (10, "dsgt"): "d080b4dc02f7a5af022d3579b75017a0e852939e7fe5e3aeba1427c01ee586e5",
+    (10, "dsgd"): "917804a9e779a6ec03e7405ce0dd79e025cf62af295f414c996cc043c0aab50d",
+}
+
+
+@pytest.mark.parametrize("n, algorithm", sorted(C_ORDER_P1))
+def test_run_depends_on_weight_values_not_layout(n, algorithm):
+    # at p = 1 a product with an F-ordered or strided W used to round
+    # differently from the C-ordered one
+    prob = synthesize("heterogeneous", n, 6, 1, seed=11, family="logistic")
+    W = np.ascontiguousarray(ring_mix(n).entries)
+    wide = np.zeros((2 * n, 2 * n))
+    wide[::2, ::2] = W
+    budget = dict(S=2) if algorithm == "gt-sarah" else dict(steps=48)
+    cfg = RunConfig(algorithm=algorithm, alpha=0.3, B=2, seed=3, record_every=1, **budget)
+    for layout in (W, np.asfortranarray(W), wide[::2, ::2]):
+        trace = run(prob, layout, cfg)
+        h = hashlib.sha256(csv_text(trace).encode())
+        h.update(trace.final_x.tobytes())
+        assert h.hexdigest() == C_ORDER_P1[(n, algorithm)]
 
 
 def test_run_requires_budget():

@@ -194,6 +194,27 @@ def test_sigmoid_matches_masked_form_bitwise():
         assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
+def bool_mask_sigmoid(z):
+    """``sigmoid`` as it was before the sign mask: np.maximum(e, z >= 0)."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(np.minimum(z, -z))
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
+def test_sigmoid_matches_bool_mask_form_bitwise():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e-310,
+                        -1e-310, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308])
+    assert sigmoid(special).tobytes() == bool_mask_sigmoid(special).tobytes()
+    rng = np.random.default_rng(17)
+    z = rng.choice((-1.0, 1.0), size=10 ** 5) * 10.0 ** rng.uniform(-8, 4, size=10 ** 5)
+    assert sigmoid(z).tobytes() == bool_mask_sigmoid(z).tobytes()
+    assert sigmoid(z.reshape(100, 1000)).tobytes() == bool_mask_sigmoid(z).tobytes()
+
+
 def random_quadratic(n, m, p, seed):
     rng = np.random.default_rng(seed)
     return QuadraticProblem(rng.uniform(0.5, 2.0, size=(n, m, p)), rng.normal(size=(n, m, p)))
